@@ -1,5 +1,8 @@
 // E9 — microbenchmarks (google-benchmark) for the substrate costs:
-// SHA-256, the simulated PKI, threshold combination, Reed-Solomon
+// SHA-256 (the picked kernel and the portable one, so each kernel's
+// per-block cost reads directly), the MAC every simulated signature
+// computes, the simulated PKI, threshold combination, aggregate
+// verification (one MAC per voter), Reed-Solomon
 // encode/decode (with Berlekamp-Welch error correction), similarity
 // enumeration and the generic Λ of Definition 2.
 #include <benchmark/benchmark.h>
@@ -7,6 +10,7 @@
 #include "valcon/consensus/reed_solomon.hpp"
 #include "valcon/core/lambda.hpp"
 #include "valcon/crypto/sha256.hpp"
+#include "valcon/crypto/sha256_kernel.hpp"
 #include "valcon/crypto/signatures.hpp"
 #include "valcon/sim/rng.hpp"
 
@@ -23,6 +27,32 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
+
+void BM_Sha256Portable(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)), 7);
+  for (auto _ : state) {
+    crypto::Sha256 ctx = crypto::detail::KernelAccess::make(
+        &crypto::detail::compress_blocks_portable);
+    ctx.update(data.data(), data.size());
+    benchmark::DoNotOptimize(ctx.digest());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(1024)->Arg(16384);
+
+// The shape of KeyRegistry's per-signature MAC: domain, secret and digest,
+// 58 bytes, so two compression blocks after padding.
+void BM_HasherMac(benchmark::State& state) {
+  const crypto::Hash digest = crypto::Hasher("bench").add("m").finish();
+  std::uint64_t secret = 0x9e3779b97f4a7c15ULL;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        crypto::Hasher("valcon/sig").add(secret).add(digest).finish());
+    ++secret;
+  }
+}
+BENCHMARK(BM_HasherMac);
 
 void BM_SignVerify(benchmark::State& state) {
   const crypto::KeyRegistry keys(64, 43, 1);
@@ -49,6 +79,26 @@ void BM_ThresholdCombine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThresholdCombine)->Arg(16)->Arg(64);
+
+// verify_aggregate recomputes one MAC per set voter: its cost is the
+// per-voter MAC times the voter count.
+void BM_VerifyAggregate(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const crypto::KeyRegistry keys(n, n - (n - 1) / 3, 1);
+  const crypto::Hash digest = crypto::Hasher("bench").add("agg").finish();
+  std::vector<crypto::Signature> partials;
+  crypto::VoterBitset voters(n);
+  for (int i = 0; i < n; ++i) {
+    partials.push_back(keys.signer_for(i).sign(digest));
+    voters.set(i);
+  }
+  const crypto::AggregateSignature agg = *crypto::aggregate(partials);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(keys.verify_aggregate(voters, agg));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_VerifyAggregate)->Arg(7)->Arg(13)->Arg(1000);
 
 void BM_RsEncode(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

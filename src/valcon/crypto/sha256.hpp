@@ -9,6 +9,14 @@
 
 namespace valcon::crypto {
 
+namespace detail {
+/// A SHA-256 compression kernel: folds `nblocks` consecutive 64-byte
+/// blocks at `data` into `state` (see sha256_kernel.hpp).
+using CompressFn = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t nblocks);
+struct KernelAccess;
+}  // namespace detail
+
 /// Incremental SHA-256 context. Feed bytes with update(), finish with
 /// digest(). A context must not be updated after digest() is called.
 class Sha256 {
@@ -25,10 +33,16 @@ class Sha256 {
   [[nodiscard]] static Digest hash(const void* data, std::size_t len);
 
  private:
-  void process_block(const std::uint8_t* block);
+  friend struct detail::KernelAccess;
+  explicit Sha256(detail::CompressFn compress_blocks);
 
+  static constexpr std::size_t kBlockSize = 64;
+
+  detail::CompressFn compress_blocks_;
   std::array<std::uint32_t, 8> state_;
-  std::array<std::uint8_t, 64> buffer_;
+  // Two blocks: digest() pads the partial block in place, which spills
+  // into a second block when fewer than 9 bytes of the first remain.
+  std::array<std::uint8_t, 2 * kBlockSize> buffer_;
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;
 };

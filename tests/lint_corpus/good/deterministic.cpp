@@ -52,3 +52,9 @@ struct Entry {
   int id = 0;
 };
 std::map<int, Entry> by_id;
+
+// Hashing goes through crypto::Sha256, which picks its CPU kernel itself
+// (mentioning __builtin_cpu_supports in a comment is fine), and a plain
+// function or string named target is not a target attribute.
+int target(int x) { return x; }
+const char* kTargetNote = "__attribute__((target(\"avx2\")))";

@@ -1,12 +1,19 @@
-// Unit tests: SHA-256 (FIPS vectors), structured hashing, the simulated PKI
-// and the (k, n)-threshold signature scheme.
+// Unit tests: SHA-256 (FIPS vectors, both compression kernels in lockstep),
+// structured hashing, the simulated PKI and the (k, n)-threshold signature
+// scheme.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "valcon/crypto/hash.hpp"
 #include "valcon/crypto/sha256.hpp"
+#include "valcon/crypto/sha256_kernel.hpp"
 #include "valcon/crypto/signatures.hpp"
+#include "valcon/sim/rng.hpp"
 
 using namespace valcon;
 using namespace valcon::crypto;
@@ -55,6 +62,130 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   Sha256 ctx;
   for (const char c : msg) ctx.update(&c, 1);
   EXPECT_EQ(ctx.digest(), Sha256::hash(msg.data(), msg.size()));
+}
+
+// ---------------------------------------------------------------- kernels
+//
+// Both compression kernels run through the same update()/digest() code.
+// The expected digests come from outside this code (FIPS 180-4 and
+// Python's hashlib), so a padding bug shared by both kernels still fails.
+
+namespace {
+
+struct Kernel {
+  const char* name;
+  detail::CompressFn compress;
+};
+
+void PrintTo(const Kernel& kernel, std::ostream* os) { *os << kernel.name; }
+
+// One context on `kernel`, fed `msg` in pieces of the given sizes (the
+// last piece takes whatever remains).
+Sha256::Digest hash_in_chunks(detail::CompressFn kernel,
+                              const std::string& msg,
+                              const std::vector<std::size_t>& chunks) {
+  Sha256 ctx = detail::KernelAccess::make(kernel);
+  std::size_t at = 0;
+  for (const std::size_t chunk : chunks) {
+    const std::size_t take = std::min(chunk, msg.size() - at);
+    ctx.update(msg.data() + at, take);
+    at += take;
+  }
+  ctx.update(msg.data() + at, msg.size() - at);
+  return ctx.digest();
+}
+
+std::string patterned(std::size_t len) {
+  std::string msg(len, '\0');
+  for (std::size_t i = 0; i < len; ++i) {
+    msg[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  }
+  return msg;
+}
+
+class Sha256Kernel : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam().compress == &detail::compress_blocks_sha_ni &&
+        !detail::sha_ni_supported()) {
+      GTEST_SKIP() << "this CPU lacks SHA-NI; only the portable kernel runs";
+    }
+  }
+  [[nodiscard]] detail::CompressFn kernel() const {
+    return GetParam().compress;
+  }
+};
+
+}  // namespace
+
+TEST_P(Sha256Kernel, FipsVectors) {
+  const std::vector<std::pair<std::string, std::string>> vectors = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const auto& [msg, expected] : vectors) {
+    EXPECT_EQ(hex(hash_in_chunks(kernel(), msg, {})), expected)
+        << "length " << msg.size();
+    EXPECT_EQ(hex(hash_in_chunks(kernel(), msg, {1, 63, 65, 1000})), expected)
+        << "length " << msg.size() << ", chunked";
+  }
+}
+
+TEST_P(Sha256Kernel, PaddingBoundaries) {
+  // hashlib.sha256(bytes((i * 131 + 7) & 0xff for i in range(len))).
+  const std::vector<std::pair<std::size_t, std::string>> vectors = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "16ed9c4697ca11d5f6fb25ea7900252dd4cb97215d7f6d0b2bb3e2a86ac0ec72"},
+      {56, "939ada93b2fe1e9c596d767bb408567c83e253667f0b25e5be8e16f35f2cbac9"},
+      {63, "6073f83b09ae82016cdbe24c18996c48f0eaa08ca675d0f6b90b807fc29e0149"},
+      {64, "b337ba9b0c69c391364e985fdcb23a889887e59800832c92fbfa22b8a3c40304"},
+      {119,
+       "9773fbac8194c3d789af101b49b6a26073076895ef6e0f658432849dd477a43f"},
+      {120,
+       "070a538f085dd94821d4dc197c5c8b791051891d4fa2a1bf25d3c275236676f7"},
+  };
+  for (const auto& [len, expected] : vectors) {
+    EXPECT_EQ(hex(hash_in_chunks(kernel(), patterned(len), {})), expected)
+        << "length " << len;
+  }
+}
+
+TEST_P(Sha256Kernel, RandomChunksMatchPortableOneShot) {
+  sim::Rng rng(256);
+  for (std::size_t len = 0; len <= 600; ++len) {
+    std::string msg(len, '\0');
+    for (char& c : msg) c = static_cast<char>(rng.next_below(256));
+    const Sha256::Digest reference =
+        hash_in_chunks(&detail::compress_blocks_portable, msg, {});
+    std::vector<std::size_t> chunks;
+    for (std::size_t left = len; left > 0;) {
+      const std::size_t chunk = 1 + rng.next_below(150);
+      chunks.push_back(chunk);
+      left -= std::min(chunk, left);
+    }
+    ASSERT_EQ(hash_in_chunks(kernel(), msg, chunks), reference)
+        << "length " << len << " in " << chunks.size() << " chunks";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Sha256Kernel,
+    ::testing::Values(Kernel{"Portable", &detail::compress_blocks_portable},
+                      Kernel{"ShaNi", &detail::compress_blocks_sha_ni}),
+    [](const ::testing::TestParamInfo<Kernel>& kernel_info) {
+      return std::string(kernel_info.param.name);
+    });
+
+TEST(Sha256, DefaultContextRunsThePickedKernel) {
+  const detail::CompressFn expected = detail::sha_ni_supported()
+                                          ? &detail::compress_blocks_sha_ni
+                                          : &detail::compress_blocks_portable;
+  EXPECT_EQ(detail::picked_kernel(), expected);
 }
 
 TEST(Hasher, DomainSeparation) {
@@ -156,4 +287,29 @@ TEST(Threshold, ForgedThresholdSigRejected) {
   forged.digest = Hasher("m").add("t").finish();
   forged.mac = 0xdeadbeef;
   EXPECT_FALSE(keys.verify(forged));
+}
+
+// Values captured from the byte-at-a-time reference kernel this library
+// shipped before the compression kernels were split out. A kernel bug
+// fails here by name, not only through the pinned sweep golden.
+TEST(KnownAnswer, SignCombineAndAggregateMacs) {
+  const KeyRegistry keys(7, 5, 20231);
+  const Hash digest = Hasher("valcon/kat")
+                          .add("known answer")
+                          .add(std::int64_t{42})
+                          .finish();
+  EXPECT_EQ(hex(digest.bytes),
+            "921d39d01573081e130e30cc5f64c622d6f34cf3033bb81815a7178222aa7829");
+  EXPECT_EQ(keys.signer_for(3).sign(digest).mac, 0x301ebbfceccdbbdeULL);
+
+  std::vector<Signature> partials;
+  for (ProcessId id = 0; id < 5; ++id) {
+    partials.push_back(keys.signer_for(id).sign(digest));
+  }
+  const auto tsig = keys.combine(partials);
+  ASSERT_TRUE(tsig.has_value());
+  EXPECT_EQ(tsig->mac, 0xb76b8fe98925490bULL);
+  const auto agg = aggregate(partials);
+  ASSERT_TRUE(agg.has_value());
+  EXPECT_EQ(agg->mac, 0x40dc3a08eadc9de4ULL);
 }

@@ -32,6 +32,12 @@ linter bans the known ways determinism leaks out of a C++ codebase:
                       metrics identity with VALCON_PAYLOAD_TYPE (wrapper
                       payloads that forward an inner payload's identity
                       carry an explicit suppression instead).
+  cpu-dispatch        Intrinsic headers (<immintrin.h> and kin),
+                      __builtin_cpu_supports/_is/_init, and target(...) /
+                      target_clones(...) attributes outside
+                      src/valcon/crypto/sha256.cpp.  A code path picked by
+                      the host CPU stays in that one file, where the SHA-256
+                      kernels are tested in lockstep on every host.
   bad-suppression     A `valcon-lint: allow(...)` comment without a written
                       reason.  Suppressions are part of the audit trail; a
                       bare waiver is itself a finding.
@@ -201,6 +207,18 @@ PARSE_NAME_RE = re.compile(
     r"(?i)^(parse|deserialize|decode|unpack|load|read|from)(_|$|[A-Z])?")
 ASSERT_RE = re.compile(r"(?<!static_)(?<!\w)assert\s*\(")
 
+CPU_DISPATCH_PATTERNS = [
+    (re.compile(r"#\s*include\s*<\s*(?:\w*intrin|cpuid|arm_neon)\.h\s*>"),
+     "intrinsics header"),
+    (re.compile(r"\b__builtin_cpu_(?:supports|is|init)\b"),
+     "CPU feature probe"),
+    (re.compile(r"(?:\b__attribute__\s*\(\([^;{]*?|\bgnu::)"
+                r"\btarget(?:_clones)?\s*\("),
+     "target attribute"),
+]
+# The one file allowed to hold CPU-dependent code (matched as a path suffix).
+CPU_DISPATCH_HOME = "src/valcon/crypto/sha256.cpp"
+
 PAYLOAD_SUBCLASS_RE = re.compile(
     r"\b(?:struct|class)\s+([\w:]+)\s*(?:final\s*)?:"
     r"[^;{]*?\b(?:public\s+)?(?:[\w:]+::)?Payload\b")
@@ -313,6 +331,15 @@ def rule_assert_validation(path, code_lines, _raw):
     return findings
 
 
+def rule_cpu_dispatch(path, code_lines, raw_lines):
+    if path.replace(os.sep, "/").endswith(CPU_DISPATCH_HOME):
+        return []
+    return rule_simple_patterns(
+        path, code_lines, raw_lines, CPU_DISPATCH_PATTERNS, "cpu-dispatch",
+        f"CPU-dependent code paths live only in {CPU_DISPATCH_HOME}, where "
+        "both SHA-256 kernels run in lockstep tests; call through it")
+
+
 def rule_payload_type(path, code_lines, _raw):
     """Every concrete Payload subclass must declare VALCON_PAYLOAD_TYPE in
     its body, so its metrics identity is interned and cached.  Wrapper
@@ -353,6 +380,7 @@ RULES = {
     "pointer-key": rule_pointer_key,
     "assert-validation": rule_assert_validation,
     "payload-type": rule_payload_type,
+    "cpu-dispatch": rule_cpu_dispatch,
 }
 
 
