@@ -13,7 +13,8 @@
 // full-matrix sweep throughput (cells/sec), and the quorum-certificate
 // section — the same fault-free workload under cert_mode per-vote and
 // aggregate, normalized per decision (messages_per_decision,
-// verifies_per_decision, ns_per_decision), and the large-n scaling
+// verifies_per_decision, hash_blocks_per_decision, ns_per_decision), and
+// the large-n scaling
 // section — one committee-topology cell per n in {10, 50, 100, 500,
 // 1000}, recording messages per decision, wall seconds and peak RSS
 // against the quadratic Dolev-Reischuk curve, plus the fitted log-log
@@ -276,7 +277,8 @@ SweepThroughput run_sweep_throughput(const std::string& matrix_name, int jobs) {
 // falls to about one check per quorum because the aggregate is verified
 // once at certification instead of once per incoming vote. The auth stack
 // (Quad) is signature-heavy, so it shows the verify win; the nonauth stack
-// shows the message win.
+// shows the message win. hash_blocks_per_decision counts SHA-256 blocks,
+// the hashing work behind the verify calls (a memoized MAC costs none).
 struct QcModeResult {
   std::string stack;  // "auth" or "nonauth"
   std::string mode;   // cert_mode_token()
@@ -285,6 +287,7 @@ struct QcModeResult {
   std::uint64_t decisions = 0;
   std::uint64_t messages = 0;
   std::uint64_t verifies = 0;
+  std::uint64_t hash_blocks = 0;
   double wall_seconds = 0.0;
 
   [[nodiscard]] double messages_per_decision() const {
@@ -296,6 +299,11 @@ struct QcModeResult {
     return decisions > 0
                ? static_cast<double>(verifies) / static_cast<double>(decisions)
                : 0;
+  }
+  [[nodiscard]] double hash_blocks_per_decision() const {
+    return decisions > 0 ? static_cast<double>(hash_blocks) /
+                               static_cast<double>(decisions)
+                         : 0;
   }
   [[nodiscard]] double ns_per_decision() const {
     return decisions > 0
@@ -325,6 +333,7 @@ QcModeResult run_qc_mode(VcKind vc, const char* stack, core::CertMode mode,
     r.decisions += o.result.decisions.size();
     r.messages += o.result.messages_total;
     r.verifies += o.result.verifies_total;
+    r.hash_blocks += o.result.hash_blocks;
   });
   r.wall_seconds = seconds_since(start);
   return r;
@@ -496,11 +505,14 @@ std::string json_document(const HotPathResult& hot, const SweepThroughput& sw,
         << "      \"decisions\": " << r.decisions << ",\n"
         << "      \"messages\": " << r.messages << ",\n"
         << "      \"verifies\": " << r.verifies << ",\n"
+        << "      \"hash_blocks\": " << r.hash_blocks << ",\n"
         << "      \"wall_seconds\": " << r.wall_seconds << ",\n"
         << "      \"messages_per_decision\": " << r.messages_per_decision()
         << ",\n"
         << "      \"verifies_per_decision\": " << r.verifies_per_decision()
         << ",\n"
+        << "      \"hash_blocks_per_decision\": "
+        << r.hash_blocks_per_decision() << ",\n"
         << "      \"ns_per_decision\": " << r.ns_per_decision() << "\n"
         << "    }" << (i + 1 < qc.size() ? "," : "") << "\n";
   }
@@ -582,7 +594,8 @@ bool same_results(const std::vector<SweepOutcome>& a,
         x.message_complexity != y.message_complexity ||
         x.word_complexity != y.word_complexity || x.events != y.events ||
         x.last_decision_time != y.last_decision_time ||
-        a[i].error != b[i].error) {
+        x.verifies_total != y.verifies_total ||
+        x.hash_blocks != y.hash_blocks || a[i].error != b[i].error) {
       return false;
     }
   }
@@ -661,12 +674,13 @@ bool bench_validity_matrix() {
 bool bench_qc() {
   const std::vector<QcModeResult> qc = run_qc_section(4);
   Table table({"stack", "cert_mode", "cells", "decisions", "msg/decision",
-               "verify/decision", "ns/decision"});
+               "verify/decision", "blocks/decision", "ns/decision"});
   for (const QcModeResult& r : qc) {
     table.add_row({r.stack, r.mode, std::to_string(r.cells),
                    std::to_string(r.decisions),
                    fmt(r.messages_per_decision(), 1),
                    fmt(r.verifies_per_decision(), 1),
+                   fmt(r.hash_blocks_per_decision(), 1),
                    fmt(r.ns_per_decision(), 0)});
   }
   std::cout << "quorum certificates (jobs=4, n=7, t=2, fault-free):\n";

@@ -41,10 +41,15 @@ ExecutionReport check_execution(const ValidityProperty& val, int n, int t,
     seen = v;
   }
 
+  // Admissibility depends only on the decided value, and deciders mostly
+  // agree: judge each distinct value once instead of once per process.
   report.validity = true;
+  std::map<Value, bool> verdicts;
   for (const auto& [p, v] : decisions) {
     if (faulty.count(p) != 0) continue;
-    if (!val.admissible(report.input_config, v)) {
+    auto [it, fresh] = verdicts.try_emplace(v, false);
+    if (fresh) it->second = val.admissible(report.input_config, v);
+    if (!it->second) {
       report.validity = false;
       report.violations.push_back(
           "Validity(" + val.name() + "): P" + std::to_string(p) +

@@ -36,7 +36,9 @@ struct ExecutionReport {
 /// Validates decisions of an execution. `proposals` holds every process's
 /// proposal (entries of faulty processes are ignored), `faulty` the set of
 /// Byzantine processes, and `decisions` the values decided by (a subset of)
-/// the correct processes.
+/// the correct processes. `val.admissible` is called once per distinct
+/// value a correct process decided, so it must be a pure function of its
+/// arguments; every deciding process still gets its own violation line.
 [[nodiscard]] ExecutionReport check_execution(
     const ValidityProperty& val, int n, int t,
     const std::vector<Value>& proposals, const std::set<ProcessId>& faulty,

@@ -189,12 +189,23 @@ CompressFn picked_kernel() {
 
 }  // namespace detail
 
+namespace {
+thread_local std::uint64_t blocks_compressed = 0;
+}  // namespace
+
+std::uint64_t& sha256_blocks() { return blocks_compressed; }
+
 Sha256::Sha256() : Sha256(detail::picked_kernel()) {}
 
 Sha256::Sha256(detail::CompressFn compress_blocks)
     : compress_blocks_(compress_blocks),
       state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+
+void Sha256::compress(const std::uint8_t* data, std::size_t nblocks) {
+  blocks_compressed += nblocks;
+  compress_blocks_(state_.data(), data, nblocks);
+}
 
 void Sha256::update(const void* data, std::size_t len) {
   if (len == 0) return;
@@ -207,13 +218,13 @@ void Sha256::update(const void* data, std::size_t len) {
     bytes += take;
     len -= take;
     if (buffer_len_ < kBlockSize) return;
-    compress_blocks_(state_.data(), buffer_.data(), 1);
+    compress(buffer_.data(), 1);
     buffer_len_ = 0;
   }
   // Whole blocks straight from the caller's buffer; only the tail is copied.
   const std::size_t whole = len / kBlockSize;
   if (whole > 0) {
-    compress_blocks_(state_.data(), bytes, whole);
+    compress(bytes, whole);
     bytes += whole * kBlockSize;
     len -= whole * kBlockSize;
   }
@@ -235,7 +246,7 @@ Sha256::Digest Sha256::digest() {
     buffer_[padded - 8 + i] =
         static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  compress_blocks_(state_.data(), buffer_.data(), padded / kBlockSize);
+  compress(buffer_.data(), padded / kBlockSize);
   buffer_len_ = 0;
 
   Digest out;

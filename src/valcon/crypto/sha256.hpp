@@ -17,6 +17,13 @@ using CompressFn = void (*)(std::uint32_t* state, const std::uint8_t* data,
 struct KernelAccess;
 }  // namespace detail
 
+/// SHA-256 compression blocks the calling thread has run, over every
+/// context and kernel (consumers take deltas). A deterministic unit of
+/// hashing work: run_universal reports a run's delta as
+/// RunResult::hash_blocks. Mutable so a cache shared across runs can keep
+/// its fills out of the count (see KeyRegistry::secret_for).
+[[nodiscard]] std::uint64_t& sha256_blocks();
+
 /// Incremental SHA-256 context. Feed bytes with update(), finish with
 /// digest(). A context must not be updated after digest() is called.
 class Sha256 {
@@ -35,6 +42,8 @@ class Sha256 {
  private:
   friend struct detail::KernelAccess;
   explicit Sha256(detail::CompressFn compress_blocks);
+  /// Runs the kernel on `nblocks` blocks and counts them for sha256_blocks().
+  void compress(const std::uint8_t* data, std::size_t nblocks);
 
   static constexpr std::size_t kBlockSize = 64;
 

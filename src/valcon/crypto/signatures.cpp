@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace valcon::crypto {
@@ -14,7 +15,58 @@ std::uint64_t truncate(const Hash& h) {
   return out;
 }
 
+// One cached MAC. The key is the full MAC input (secret, digest) plus the
+// epoch it was computed in; epochs start at 1, so an empty slot never hits.
+struct MacMemoEntry {
+  std::uint64_t epoch = 0;
+  std::uint64_t secret = 0;
+  Hash digest;
+  std::uint64_t mac = 0;
+};
+
+constexpr std::size_t kMacMemoSlots = 4096;
+static_assert(std::has_single_bit(kMacMemoSlots));
+constexpr int kMacMemoShift = 64 - std::countr_zero(kMacMemoSlots);
+
+thread_local std::uint64_t mac_epoch = 1;
+
+// Heap-allocated on a thread's first MAC, so threads that never sign (the
+// simulator-only paths) carry no table.
+MacMemoEntry* mac_memo() {
+  thread_local std::unique_ptr<MacMemoEntry[]> table;
+  if (!table) table = std::make_unique<MacMemoEntry[]>(kMacMemoSlots);
+  return table.get();
+}
+
+std::size_t mac_memo_slot(std::uint64_t secret, const Hash& digest) {
+  // Secrets and digests are both hash outputs, so mixing one word of each
+  // spreads voters of one digest and digests of one voter alike.
+  std::uint64_t head = 0;
+  std::memcpy(&head, digest.bytes.data(), sizeof(head));
+  return static_cast<std::size_t>(((head ^ secret) * 0x9e3779b97f4a7c15ULL) >>
+                                  kMacMemoShift);
+}
+
+std::uint64_t memo_mac(MacMemoEntry* memo, std::uint64_t secret,
+                       const Hash& digest) {
+  MacMemoEntry& entry = memo[mac_memo_slot(secret, digest)];
+  if (entry.epoch == mac_epoch && entry.secret == secret &&
+      entry.digest == digest) {
+    return entry.mac;
+  }
+  entry = {mac_epoch, secret, digest,
+           truncate(Hasher("valcon/sig").add(secret).add(digest).finish())};
+  return entry.mac;
+}
+
 }  // namespace
+
+void start_mac_epoch() { ++mac_epoch; }
+
+std::size_t detail::MacMemoAccess::slot(const KeyRegistry& keys, ProcessId id,
+                                        const Hash& digest) {
+  return mac_memo_slot(keys.secret_for(id), digest);
+}
 
 VoterBitset::VoterBitset(int n) : n_(n) {
   if (n < 1) throw std::invalid_argument("VoterBitset: need n >= 1");
@@ -85,8 +137,13 @@ std::uint64_t KeyRegistry::secret_for(ProcessId id) const {
   if (slot.ready.load(std::memory_order_acquire)) {
     return slot.value.load(std::memory_order_relaxed);
   }
+  // Shared registries outlive runs, so which run pays a derivation depends
+  // on the schedule: keep it out of the per-run block count.
+  std::uint64_t& blocks = sha256_blocks();
+  const std::uint64_t blocks_before = blocks;
   const std::uint64_t secret = truncate(
       Hasher("valcon/process-secret").add(seed_).add(id).finish());
+  blocks = blocks_before;
   slot.value.store(secret, std::memory_order_relaxed);
   slot.ready.store(true, std::memory_order_release);
   derivations_.fetch_add(1, std::memory_order_relaxed);
@@ -94,8 +151,7 @@ std::uint64_t KeyRegistry::secret_for(ProcessId id) const {
 }
 
 std::uint64_t KeyRegistry::mac_for(ProcessId id, const Hash& digest) const {
-  return truncate(
-      Hasher("valcon/sig").add(secret_for(id)).add(digest).finish());
+  return memo_mac(mac_memo(), secret_for(id), digest);
 }
 
 std::uint64_t KeyRegistry::threshold_mac(const Hash& digest) const {
@@ -138,12 +194,20 @@ bool KeyRegistry::verify_aggregate(const VoterBitset& voters,
                                    const AggregateSignature& agg) const {
   ++verify_counters().aggregate;
   if (voters.capacity() != n_) return false;
+  MacMemoEntry* memo = mac_memo();
+  const std::vector<std::uint64_t>& words = voters.words();
   std::uint64_t expected = 0;
   int set_bits = 0;
-  for (ProcessId id = 0; id < n_; ++id) {
-    if (!voters.test(id)) continue;
-    expected += mac_for(id, agg.digest);  // mod 2^64, mirroring aggregate()
-    ++set_bits;
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      // set() keeps every bit below capacity() == n_, so id is in range.
+      const auto id =
+          static_cast<ProcessId>(w * 64 + static_cast<std::size_t>(
+                                              std::countr_zero(bits)));
+      // mod 2^64, mirroring aggregate()
+      expected += memo_mac(memo, secret_for(id), agg.digest);
+      ++set_bits;
+    }
   }
   if (set_bits == 0) return false;
   return agg.mac == expected;

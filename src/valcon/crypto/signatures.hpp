@@ -26,12 +26,24 @@
 // a (bitset, aggregate) pair where the per-vote scheme would carry a
 // vector of Signatures.
 //
+// Every MAC is a pure function of (secret, digest), and in a run the signer
+// and each of its verifiers compute the same one. KeyRegistry::mac_for
+// therefore looks in a per-thread memo before hashing: a direct-mapped
+// table of 4096 entries keyed by the full input (the 64-bit secret
+// and the 32-byte digest) and by the run epoch. Because the key is the
+// whole input rather than a fingerprint of it, a hit returns exactly the
+// MAC a fresh hash would, so a forged signature, a tampered aggregate or an
+// inflated bitset is still compared against the true MAC. run_universal
+// starts a new epoch per run (start_mac_epoch), so a run starts with a cold
+// memo and its hits, like its verify counts, depend only on (config, seed).
+//
 // Both Signature and ThresholdSignature count as one "word" in communication
 // accounting, matching the paper's convention (footnote 4); an
 // AggregateSignature is one word plus the bitset's ceil(n/64) words.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -130,6 +142,21 @@ struct VerifyCounters {
 /// The calling thread's verify tally (monotone; consumers take deltas).
 [[nodiscard]] VerifyCounters& verify_counters();
 
+/// Starts a new epoch of the calling thread's MAC memo: every MAC cached on
+/// this thread before the call is a miss afterwards. run_universal calls it
+/// once per run, where it snapshots verify_counters().
+void start_mac_epoch();
+
+class KeyRegistry;
+
+namespace detail {
+/// Test hook: the memo slot KeyRegistry::mac_for uses for (id, digest).
+struct MacMemoAccess {
+  [[nodiscard]] static std::size_t slot(const KeyRegistry& keys, ProcessId id,
+                                        const Hash& digest);
+};
+}  // namespace detail
+
 class Signer;
 
 /// Holds every process's signing secret plus the threshold-scheme root.
@@ -191,6 +218,7 @@ class KeyRegistry {
 
  private:
   friend class Signer;
+  friend struct detail::MacMemoAccess;
 
   [[nodiscard]] std::uint64_t secret_for(ProcessId id) const;
   [[nodiscard]] std::uint64_t mac_for(ProcessId id, const Hash& digest) const;

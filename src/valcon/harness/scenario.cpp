@@ -264,8 +264,11 @@ RunResult run_universal(const ScenarioConfig& cfg,
   bool grace_armed = false;
   std::uint64_t events = 0;
   // The whole event loop runs on this thread, so the thread-local verify
-  // tally's delta is exactly this run's signature checks.
+  // and block tallies' deltas are exactly this run's signature checks and
+  // hashing; a fresh MAC-memo epoch keeps earlier runs from feeding them.
+  crypto::start_mac_epoch();
   const std::uint64_t verifies_before = crypto::verify_counters().total();
+  const std::uint64_t blocks_before = crypto::sha256_blocks();
   while (simulator.step(cutoff)) {
     ++events;
     if (!grace_armed && *correct_decided == n_correct) {
@@ -276,6 +279,7 @@ RunResult run_universal(const ScenarioConfig& cfg,
   }
   result->events = events;
   result->verifies_total = crypto::verify_counters().total() - verifies_before;
+  result->hash_blocks = crypto::sha256_blocks() - blocks_before;
   result->queue_drained = simulator.idle();
   result->end_time = simulator.now();
   result->grace_cutoff = grace_armed ? cutoff : -1.0;

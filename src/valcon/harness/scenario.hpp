@@ -232,6 +232,12 @@ struct RunResult {
   /// event loop. Each run executes on one thread, so the tally is a
   /// deterministic function of (configuration, seed) at any job count.
   std::uint64_t verifies_total = 0;
+  /// SHA-256 compression blocks the run hashed (every signature, MAC-memo
+  /// miss and content digest), the delta of crypto::sha256_blocks() around
+  /// the event loop. The run starts a fresh MAC-memo epoch, so this too is
+  /// a deterministic function of (configuration, seed) at any job count.
+  /// Diagnostic only — not part of the sweep wire format.
+  std::uint64_t hash_blocks = 0;
 
   [[nodiscard]] bool all_correct_decided(const ScenarioConfig& cfg) const;
   [[nodiscard]] bool agreement() const;

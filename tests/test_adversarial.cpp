@@ -4,7 +4,11 @@
 // Agreement / Validity as defined in Sections 3.2-3.3).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "valcon/core/execution_checker.hpp"
 #include "valcon/harness/scenario.hpp"
@@ -194,6 +198,121 @@ TEST(ExecutionChecker, RejectsTooManyFaults) {
   const auto report = check_execution(validity, 3, 1, {5, 5, 5}, {0, 1}, {});
   EXPECT_FALSE(report.ok());
   ASSERT_FALSE(report.violations.empty());
+}
+
+namespace {
+
+/// Forwards to Strong validity and counts admissible() calls.
+class CountingValidity final : public ValidityProperty {
+ public:
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] bool admissible(const InputConfig& c,
+                                Value v) const override {
+    ++calls;
+    return inner_.admissible(c, v);
+  }
+  mutable int calls = 0;
+
+ private:
+  StrongValidity inner_;
+};
+
+/// check_execution as specified: every correct decider judged on its own.
+ExecutionReport brute_force_check(const ValidityProperty& val, int n,
+                                  const std::vector<Value>& proposals,
+                                  const std::set<ProcessId>& faulty,
+                                  const std::map<ProcessId, Value>& decisions) {
+  ExecutionReport report;
+  report.input_config = InputConfig(n);
+  for (ProcessId p = 0; p < n; ++p) {
+    if (faulty.count(p) == 0) {
+      report.input_config.set(p, proposals[static_cast<std::size_t>(p)]);
+    }
+  }
+  report.termination = true;
+  for (ProcessId p = 0; p < n; ++p) {
+    if (faulty.count(p) == 0 && decisions.count(p) == 0) {
+      report.termination = false;
+      report.violations.push_back("Termination: P" + std::to_string(p) +
+                                  " never decided");
+    }
+  }
+  report.agreement = true;
+  std::optional<Value> seen;
+  for (const auto& [p, v] : decisions) {
+    if (faulty.count(p) != 0) continue;
+    if (seen.has_value() && *seen != v) {
+      report.agreement = false;
+      report.violations.push_back("Agreement: conflicting decisions " +
+                                  std::to_string(*seen) + " and " +
+                                  std::to_string(v));
+    }
+    seen = v;
+  }
+  report.validity = true;
+  for (const auto& [p, v] : decisions) {
+    if (faulty.count(p) != 0) continue;
+    if (!val.admissible(report.input_config, v)) {
+      report.validity = false;
+      report.violations.push_back(
+          "Validity(" + val.name() + "): P" + std::to_string(p) +
+          " decided " + std::to_string(v) + " not in val(" +
+          report.input_config.to_string() + ")");
+    }
+  }
+  return report;
+}
+
+}  // namespace
+
+TEST(ExecutionChecker, JudgesEachDistinctDecidedValueOnce) {
+  const int n = 2000;
+  const int t = 666;
+  const std::vector<Value> proposals(n, 5);
+  std::map<ProcessId, Value> decisions;
+  for (ProcessId p = 0; p < n; ++p) decisions[p] = 5;
+
+  CountingValidity validity;
+  EXPECT_TRUE(check_execution(validity, n, t, proposals, {}, decisions).ok());
+  EXPECT_EQ(validity.calls, 1);
+
+  // Three distinct decided values: three judgments, however many deciders.
+  decisions[10] = 6;
+  decisions[1500] = 6;
+  decisions[1999] = 7;
+  validity.calls = 0;
+  const auto report = check_execution(validity, n, t, proposals, {}, decisions);
+  EXPECT_FALSE(report.validity);
+  EXPECT_EQ(validity.calls, 3);
+  // Five changes of value in id order, then one line per bad decider.
+  EXPECT_EQ(report.violations.size(), 5u + 3u);
+}
+
+TEST(ExecutionChecker, MixedDecisionsMatchAPerProcessCheck) {
+  // n = 10, t = 3: correct processes propose 4, so Strong validity admits
+  // only 4. Several correct processes decide the inadmissible 6, one never
+  // decides, and the faulty ones decide anything (ignored).
+  const int n = 10;
+  const int t = 3;
+  const std::set<ProcessId> faulty = {2, 7, 9};
+  std::vector<Value> proposals(n, 4);
+  proposals[2] = 8;
+  proposals[7] = 8;
+  const std::map<ProcessId, Value> decisions = {
+      {0, 6}, {1, 4}, {2, 9}, {3, 6}, {4, 4},
+      {5, 6}, {7, 6}, {8, 4}, {9, 1}};
+  CountingValidity counted;
+  const auto got = check_execution(counted, n, t, proposals, faulty, decisions);
+  const StrongValidity validity;
+  const auto want = brute_force_check(validity, n, proposals, faulty, decisions);
+  EXPECT_EQ(got.termination, want.termination);
+  EXPECT_EQ(got.agreement, want.agreement);
+  EXPECT_EQ(got.validity, want.validity);
+  EXPECT_EQ(got.violations, want.violations);
+  EXPECT_EQ(got.input_config.to_string(), want.input_config.to_string());
+  EXPECT_FALSE(got.termination);  // P6 never decided
+  EXPECT_FALSE(got.validity);
+  EXPECT_EQ(counted.calls, 2);  // values 6 and 4, not 9 or 1
 }
 
 // --------------------------------------- the paper's own attack, re-used

@@ -1,6 +1,6 @@
-// Unit tests: SHA-256 (FIPS vectors, both compression kernels in lockstep),
-// structured hashing, the simulated PKI and the (k, n)-threshold signature
-// scheme.
+// Unit tests: SHA-256 (FIPS vectors, both compression kernels in lockstep,
+// the per-thread block counter), structured hashing, the simulated PKI,
+// the per-thread MAC memo and the (k, n)-threshold signature scheme.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -188,6 +188,26 @@ TEST(Sha256, DefaultContextRunsThePickedKernel) {
   EXPECT_EQ(detail::picked_kernel(), expected);
 }
 
+TEST(Sha256, BlockCounterCountsEveryCompressedBlock) {
+  const auto blocks_for = [](std::size_t len, std::size_t piece) {
+    const std::string msg = patterned(len);
+    const std::uint64_t before = sha256_blocks();
+    Sha256 ctx;
+    for (std::size_t at = 0; at < len; at += piece) {
+      ctx.update(msg.data() + at, std::min(piece, len - at));
+    }
+    static_cast<void>(ctx.digest());
+    return sha256_blocks() - before;
+  };
+  // Padding adds 9 bytes, rounded up to whole 64-byte blocks.
+  EXPECT_EQ(blocks_for(0, 1), 1u);
+  EXPECT_EQ(blocks_for(55, 1), 1u);
+  EXPECT_EQ(blocks_for(56, 1), 2u);
+  EXPECT_EQ(blocks_for(64, 64), 2u);
+  EXPECT_EQ(blocks_for(130, 1), 3u);
+  EXPECT_EQ(blocks_for(16384, 1000), 257u);
+}
+
 TEST(Hasher, DomainSeparation) {
   const Hash a = Hasher("domain-a").add(std::int64_t{42}).finish();
   const Hash b = Hasher("domain-b").add(std::int64_t{42}).finish();
@@ -242,6 +262,158 @@ TEST(Signatures, DifferentSeedsDifferentKeys) {
   const Hash digest = Hasher("m").add("x").finish();
   const Signature sig = keys_a.signer_for(0).sign(digest);
   EXPECT_FALSE(keys_b.verify(sig));
+}
+
+// ---------------------------------------------------------------- MAC memo
+//
+// KeyRegistry::mac_for serves MACs from a per-thread memo keyed by the full
+// input. Whatever the memo holds, every MAC must equal the documented
+// construction hashed afresh: sig(i, d) = SHA256(secret_i || d), truncated.
+
+namespace {
+
+std::uint64_t truncated(const Hash& h) {
+  std::uint64_t out = 0;
+  for (std::size_t i = 0; i < 8; ++i) out = (out << 8) | h.bytes[i];
+  return out;
+}
+
+std::uint64_t fresh_mac(std::uint64_t seed, ProcessId id, const Hash& digest) {
+  const std::uint64_t secret =
+      truncated(Hasher("valcon/process-secret").add(seed).add(id).finish());
+  return truncated(Hasher("valcon/sig").add(secret).add(digest).finish());
+}
+
+Hash random_digest(sim::Rng& rng) {
+  Hash h;
+  for (auto& byte : h.bytes) byte = static_cast<std::uint8_t>(rng.next());
+  return h;
+}
+
+}  // namespace
+
+TEST(MacMemo, HitsAndMissesEqualAFreshMac) {
+  sim::Rng rng(2023);
+  for (int round = 0; round < 200; ++round) {
+    const std::uint64_t seed = rng.next_below(8);
+    const KeyRegistry keys(64, 43, seed);
+    const auto id = static_cast<ProcessId>(rng.next_below(64));
+    const Hash digest = random_digest(rng);
+    const Signature first = keys.signer_for(id).sign(digest);
+    const Signature again = keys.signer_for(id).sign(digest);
+    EXPECT_EQ(first.mac, fresh_mac(seed, id, digest));
+    EXPECT_EQ(again.mac, first.mac);
+    EXPECT_TRUE(keys.verify(first));
+  }
+}
+
+TEST(MacMemo, AMissHashesTwoBlocksAndAHitNone) {
+  const KeyRegistry keys(4, 3, 5);
+  const Hash digest = Hasher("m").add("blocks").finish();
+  const Signer signer = keys.signer_for(1);
+
+  start_mac_epoch();
+  std::uint64_t before = sha256_blocks();
+  const Signature sig = signer.sign(digest);
+  // The 58-byte MAC input; deriving the secret first is not counted.
+  EXPECT_EQ(sha256_blocks() - before, 2u);
+  EXPECT_EQ(keys.key_derivations(), 1u);
+  before = sha256_blocks();
+  EXPECT_TRUE(keys.verify(sig));
+  EXPECT_EQ(sha256_blocks() - before, 0u);
+
+  // A new epoch forgets it: the same check hashes again.
+  start_mac_epoch();
+  before = sha256_blocks();
+  EXPECT_TRUE(keys.verify(sig));
+  EXPECT_EQ(sha256_blocks() - before, 2u);
+}
+
+TEST(MacMemo, DigestsSharingOneSlotKeepTheirOwnMacs) {
+  const std::uint64_t seed = 17;
+  const KeyRegistry keys(8, 6, seed);
+  const ProcessId id = 3;
+  sim::Rng rng(99);
+  const Hash anchor = random_digest(rng);
+  const std::size_t slot = detail::MacMemoAccess::slot(keys, id, anchor);
+  std::vector<Hash> crowd = {anchor};
+  while (crowd.size() < 12) {
+    const Hash candidate = random_digest(rng);
+    if (detail::MacMemoAccess::slot(keys, id, candidate) == slot) {
+      crowd.push_back(candidate);
+    }
+  }
+  // Each sign evicts the previous digest from the shared slot; every check
+  // afterwards, in any order, still sees its own MAC.
+  std::vector<Signature> sigs;
+  for (const Hash& digest : crowd) {
+    sigs.push_back(keys.signer_for(id).sign(digest));
+  }
+  for (std::size_t i = 0; i < crowd.size(); ++i) {
+    EXPECT_EQ(sigs[i].mac, fresh_mac(seed, id, crowd[i])) << i;
+  }
+  for (std::size_t i = crowd.size(); i-- > 0;) {
+    EXPECT_TRUE(keys.verify(sigs[i])) << i;
+    Signature moved = sigs[i];
+    moved.digest = crowd[(i + 1) % crowd.size()];
+    EXPECT_FALSE(keys.verify(moved)) << i;
+  }
+}
+
+TEST(MacMemo, TwoRegistriesOnOneThreadKeepTheirOwnMacs) {
+  const KeyRegistry keys_a(4, 3, 1);
+  const KeyRegistry keys_b(4, 3, 2);
+  // A digest whose memo slot is the same under both registries' keys, so
+  // the second registry's lookup lands on the first one's entry.
+  sim::Rng rng(7);
+  Hash digest = random_digest(rng);
+  while (detail::MacMemoAccess::slot(keys_a, 0, digest) !=
+         detail::MacMemoAccess::slot(keys_b, 0, digest)) {
+    digest = random_digest(rng);
+  }
+  const Signature from_a = keys_a.signer_for(0).sign(digest);
+  EXPECT_FALSE(keys_b.verify(from_a));
+  const Signature from_b = keys_b.signer_for(0).sign(digest);
+  EXPECT_NE(from_a.mac, from_b.mac);
+  EXPECT_EQ(from_a.mac, fresh_mac(1, 0, digest));
+  EXPECT_EQ(from_b.mac, fresh_mac(2, 0, digest));
+  EXPECT_TRUE(keys_a.verify(from_a));
+  EXPECT_FALSE(keys_a.verify(from_b));
+  EXPECT_TRUE(keys_b.verify(from_b));
+}
+
+TEST(MacMemo, CachedTrueMacStillRejectsForgedSignatures) {
+  const KeyRegistry keys(4, 3, 99);
+  const Hash digest = Hasher("m").add("cached").finish();
+  const Signature sig = keys.signer_for(1).sign(digest);
+  ASSERT_TRUE(keys.verify(sig));  // the true MAC is now cached
+
+  Signature tampered = sig;
+  tampered.mac ^= 1;
+  EXPECT_FALSE(keys.verify(tampered));
+  Signature claimed = sig;
+  claimed.signer = 2;
+  EXPECT_FALSE(keys.verify(claimed));
+  Signature out_of_range = sig;
+  out_of_range.signer = 4;
+  EXPECT_FALSE(keys.verify(out_of_range));
+}
+
+TEST(MacMemo, VerifyCountsAndKeyDerivationsIgnoreHits) {
+  const KeyRegistry keys(4, 3, 31);
+  const Hash digest = Hasher("m").add("counts").finish();
+  const Signature sig = keys.signer_for(2).sign(digest);
+  EXPECT_EQ(keys.key_derivations(), 1u);
+  const VerifyCounters before = verify_counters();
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(keys.verify(sig));  // all hits
+  EXPECT_EQ(verify_counters().signature - before.signature, 3u);
+  EXPECT_EQ(keys.key_derivations(), 1u);
+
+  // A second registry over the same seed finds the MAC cached, yet still
+  // derives the secret it keys the lookup with.
+  const KeyRegistry twin(4, 3, 31);
+  EXPECT_TRUE(twin.verify(sig));
+  EXPECT_EQ(twin.key_derivations(), 1u);
 }
 
 TEST(Threshold, CombineRequiresKDistinctSigners) {

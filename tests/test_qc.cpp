@@ -129,6 +129,52 @@ TEST(Aggregate, WorksWhenNIsNotAMultipleOf64) {
   EXPECT_FALSE(keys.verify_aggregate(bitset_of(70, {3, 63, 64}), *agg));
 }
 
+TEST(Aggregate, VotersInTheLastPartialWordVerify) {
+  // Capacity 130: the third word holds only ids 128 and 129.
+  const crypto::KeyRegistry keys(130, 87, 13);
+  const auto d = digest_of("last-word");
+  for (const std::vector<ProcessId>& voters :
+       {std::vector<ProcessId>{128, 129}, std::vector<ProcessId>{129},
+        std::vector<ProcessId>{0, 63, 64, 127, 128, 129}}) {
+    const auto agg = crypto::aggregate(sign_all(keys, d, voters));
+    ASSERT_TRUE(agg.has_value());
+    EXPECT_TRUE(keys.verify_aggregate(bitset_of(130, voters), *agg));
+    auto short_one = voters;
+    short_one.pop_back();
+    if (!short_one.empty()) {
+      EXPECT_FALSE(keys.verify_aggregate(bitset_of(130, short_one), *agg));
+    }
+  }
+}
+
+TEST(Aggregate, CachedTrueMacsStillRejectEveryForgery) {
+  // Signing and one honest check leave every voter's true MAC in the
+  // calling thread's memo; the forgeries must still fail against it.
+  const crypto::KeyRegistry keys(7, 5, 11);
+  const auto d = digest_of("memo-forgeries");
+  const std::vector<ProcessId> voters = {0, 2, 5, 6};
+  const auto agg = crypto::aggregate(sign_all(keys, d, voters));
+  ASSERT_TRUE(agg.has_value());
+  const auto exact = bitset_of(7, voters);
+  ASSERT_TRUE(keys.verify_aggregate(exact, *agg));
+  // Id 3's MAC over d is cached too, so the inflated sum is all hits.
+  static_cast<void>(keys.signer_for(3).sign(d));
+
+  const crypto::VerifyCounters before = crypto::verify_counters();
+  auto inflated = exact;
+  inflated.set(3);
+  EXPECT_FALSE(keys.verify_aggregate(inflated, *agg));
+  auto tampered = *agg;
+  tampered.mac += 1;
+  EXPECT_FALSE(keys.verify_aggregate(exact, tampered));
+  EXPECT_FALSE(keys.verify_aggregate(bitset_of(8, voters), *agg));
+  EXPECT_FALSE(keys.verify_aggregate(crypto::VoterBitset(7), *agg));
+  EXPECT_TRUE(keys.verify_aggregate(exact, *agg));
+  // One aggregate verify per call, hit or miss.
+  EXPECT_EQ(crypto::verify_counters().aggregate - before.aggregate, 5u);
+  EXPECT_EQ(crypto::verify_counters().signature, before.signature);
+}
+
 // -------------------------------------------------------- QuorumCollector
 
 TEST(QuorumCollector, DedupesBySignerAndTalliesPerDigest) {
@@ -329,4 +375,37 @@ TEST(CertsMatrix, OutcomeBytesAreJobCountIndependent) {
   }
   EXPECT_TRUE(saw_aggregate);
   EXPECT_EQ(serial, lines_at(3));
+}
+
+TEST(HashBlocks, PerCellCountIsJobCountIndependent) {
+  // RunResult::hash_blocks counts this run's SHA-256 blocks, which depends
+  // on MAC-memo hits. Each run starts a fresh memo epoch, so the count is a
+  // function of (config, seed) whichever cells the worker ran before.
+  const harness::ScenarioMatrix matrix = harness::named_matrix("certs");
+  const auto blocks_at = [&](int jobs) {
+    std::vector<std::uint64_t> blocks;
+    blocks.reserve(matrix.size());
+    harness::SweepRunner(jobs).run_range(
+        matrix, 0, matrix.size(), [&](harness::SweepOutcome&& o) {
+          blocks.push_back(o.result.hash_blocks);
+        });
+    return blocks;
+  };
+  const std::vector<std::uint64_t> serial = blocks_at(1);
+  ASSERT_EQ(serial.size(), matrix.size());
+  for (const std::uint64_t count : serial) EXPECT_GT(count, 0u);
+  EXPECT_EQ(serial, blocks_at(4));
+}
+
+TEST(HashBlocks, RepeatedRunOnOneThreadHashesTheSame) {
+  // The second run would find the first run's MACs cached without the
+  // per-run epoch.
+  const harness::ScenarioMatrix matrix = harness::named_matrix("certs");
+  for (const std::size_t index : {std::size_t{0}, matrix.size() - 1}) {
+    const auto first = harness::run_point(matrix.point_at(index));
+    const auto second = harness::run_point(matrix.point_at(index));
+    EXPECT_GT(first.result.hash_blocks, 0u) << index;
+    EXPECT_EQ(first.result.hash_blocks, second.result.hash_blocks) << index;
+    EXPECT_EQ(first.result.verifies_total, second.result.verifies_total);
+  }
 }
