@@ -13,8 +13,8 @@
 // full-matrix sweep throughput (cells/sec), and the quorum-certificate
 // section — the same fault-free workload under cert_mode per-vote and
 // aggregate, normalized per decision (messages_per_decision,
-// verifies_per_decision, hash_blocks_per_decision, ns_per_decision), and
-// the large-n scaling
+// verifies_per_decision, hash_blocks_per_decision, ns_per_decision) with
+// the section's heap allocations per message, and the large-n scaling
 // section — one committee-topology cell per n in {10, 50, 100, 500,
 // 1000}, recording messages per decision, wall seconds and peak RSS
 // against the quadratic Dolev-Reischuk curve, plus the fitted log-log
@@ -279,6 +279,10 @@ SweepThroughput run_sweep_throughput(const std::string& matrix_name, int jobs) {
 // (Quad) is signature-heavy, so it shows the verify win; the nonauth stack
 // shows the message win. hash_blocks_per_decision counts SHA-256 blocks,
 // the hashing work behind the verify calls (a memoized MAC costs none).
+// heap_allocs counts every operator new the sweep made, pool bookkeeping
+// included: per-vote tallies used to pay a tree node per vote, and the
+// bench-smoke CI step holds nonauth per-vote allocations per message under
+// a ceiling.
 struct QcModeResult {
   std::string stack;  // "auth" or "nonauth"
   std::string mode;   // cert_mode_token()
@@ -288,6 +292,7 @@ struct QcModeResult {
   std::uint64_t messages = 0;
   std::uint64_t verifies = 0;
   std::uint64_t hash_blocks = 0;
+  std::uint64_t heap_allocs = 0;
   double wall_seconds = 0.0;
 
   [[nodiscard]] double messages_per_decision() const {
@@ -310,6 +315,11 @@ struct QcModeResult {
                ? wall_seconds * 1e9 / static_cast<double>(decisions)
                : 0;
   }
+  [[nodiscard]] double allocs_per_message() const {
+    return messages > 0
+               ? static_cast<double>(heap_allocs) / static_cast<double>(messages)
+               : 0;
+  }
 };
 
 QcModeResult run_qc_mode(VcKind vc, const char* stack, core::CertMode mode,
@@ -327,6 +337,7 @@ QcModeResult run_qc_mode(VcKind vc, const char* stack, core::CertMode mode,
   r.stack = stack;
   r.mode = core::cert_mode_token(mode);
   r.jobs = jobs;
+  g_heap_allocs.store(0, std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
   SweepRunner(jobs).run_range(matrix, 0, matrix.size(), [&](SweepOutcome&& o) {
     ++r.cells;
@@ -336,6 +347,7 @@ QcModeResult run_qc_mode(VcKind vc, const char* stack, core::CertMode mode,
     r.hash_blocks += o.result.hash_blocks;
   });
   r.wall_seconds = seconds_since(start);
+  r.heap_allocs = g_heap_allocs.load(std::memory_order_relaxed);
   return r;
 }
 
@@ -506,6 +518,7 @@ std::string json_document(const HotPathResult& hot, const SweepThroughput& sw,
         << "      \"messages\": " << r.messages << ",\n"
         << "      \"verifies\": " << r.verifies << ",\n"
         << "      \"hash_blocks\": " << r.hash_blocks << ",\n"
+        << "      \"heap_allocs\": " << r.heap_allocs << ",\n"
         << "      \"wall_seconds\": " << r.wall_seconds << ",\n"
         << "      \"messages_per_decision\": " << r.messages_per_decision()
         << ",\n"
@@ -513,6 +526,8 @@ std::string json_document(const HotPathResult& hot, const SweepThroughput& sw,
         << ",\n"
         << "      \"hash_blocks_per_decision\": "
         << r.hash_blocks_per_decision() << ",\n"
+        << "      \"heap_allocs_per_message\": " << r.allocs_per_message()
+        << ",\n"
         << "      \"ns_per_decision\": " << r.ns_per_decision() << "\n"
         << "    }" << (i + 1 < qc.size() ? "," : "") << "\n";
   }
@@ -674,13 +689,15 @@ bool bench_validity_matrix() {
 bool bench_qc() {
   const std::vector<QcModeResult> qc = run_qc_section(4);
   Table table({"stack", "cert_mode", "cells", "decisions", "msg/decision",
-               "verify/decision", "blocks/decision", "ns/decision"});
+               "verify/decision", "blocks/decision", "allocs/msg",
+               "ns/decision"});
   for (const QcModeResult& r : qc) {
     table.add_row({r.stack, r.mode, std::to_string(r.cells),
                    std::to_string(r.decisions),
                    fmt(r.messages_per_decision(), 1),
                    fmt(r.verifies_per_decision(), 1),
                    fmt(r.hash_blocks_per_decision(), 1),
+                   fmt(r.allocs_per_message(), 2),
                    fmt(r.ns_per_decision(), 0)});
   }
   std::cout << "quorum certificates (jobs=4, n=7, t=2, fault-free):\n";

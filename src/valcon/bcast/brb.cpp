@@ -114,10 +114,7 @@ void ReliableBroadcast::on_echo_cert(sim::Context& ctx,
   if (qc.voters.count() < core::brb_echo_quorum(ctx.n(), ctx.t())) return;
   if (!ctx.keys().verify_aggregate(qc.voters, qc.agg)) return;
   contents_.emplace(digest, qc.body);
-  std::set<ProcessId>& echo_set = echoes_[digest];
-  for (ProcessId p = 0; p < ctx.n(); ++p) {
-    if (qc.voters.test(p)) echo_set.insert(p);
-  }
+  echoes_[digest].insert_all(qc.voters);
   maybe_progress(ctx);
 }
 
@@ -128,12 +125,11 @@ void ReliableBroadcast::maybe_progress(sim::Context& ctx) {
 
   if (!readied_) {
     for (const auto& [digest, senders] : echoes_) {
-      const bool enough_echoes =
-          static_cast<int>(senders.size()) >= echo_threshold;
+      const bool enough_echoes = senders.size() >= echo_threshold;
       const auto ready_it = readies_.find(digest);
       const bool enough_readies =
           ready_it != readies_.end() &&
-          static_cast<int>(ready_it->second.size()) >= core::plurality(t);
+          ready_it->second.size() >= core::plurality(t);
       if (enough_echoes || enough_readies) {
         readied_ = true;
         ctx.broadcast(sim::make_payload<Msg>(
@@ -144,7 +140,7 @@ void ReliableBroadcast::maybe_progress(sim::Context& ctx) {
     // Amplification from READYs alone (t+1 rule) when no ECHO was seen.
     if (!readied_) {
       for (const auto& [digest, senders] : readies_) {
-        if (static_cast<int>(senders.size()) >= core::plurality(t)) {
+        if (senders.size() >= core::plurality(t)) {
           readied_ = true;
           ctx.broadcast(sim::make_payload<Msg>(
               Msg::Kind::kReady, contents_.at(digest), content_words_));
@@ -156,7 +152,7 @@ void ReliableBroadcast::maybe_progress(sim::Context& ctx) {
 
   if (!delivered_) {
     for (const auto& [digest, senders] : readies_) {
-      if (static_cast<int>(senders.size()) >= core::byz_quorum(n, t)) {
+      if (senders.size() >= core::byz_quorum(n, t)) {
         delivered_ = true;
         if (on_deliver_) on_deliver_(ctx, contents_.at(digest));
         break;

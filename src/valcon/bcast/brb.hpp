@@ -27,10 +27,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "valcon/core/process_set.hpp"
 #include "valcon/core/quorum.hpp"
 #include "valcon/crypto/hash.hpp"
 #include "valcon/crypto/signatures.hpp"
@@ -124,8 +124,8 @@ class ReliableBroadcast final : public sim::Component {
   bool readied_ = false;
   bool delivered_ = false;
   // Sender sets per content digest (Byzantine senders can equivocate).
-  std::map<crypto::Hash, std::set<ProcessId>> echoes_;
-  std::map<crypto::Hash, std::set<ProcessId>> readies_;
+  std::map<crypto::Hash, core::ProcessSet> echoes_;
+  std::map<crypto::Hash, core::ProcessSet> readies_;
   std::map<crypto::Hash, Content> contents_;
 };
 

@@ -72,7 +72,7 @@ void Add::on_message(sim::Context& ctx, ProcessId from,
 void Add::maybe_fix_share(sim::Context& ctx) {
   if (share_fixed_) return;
   for (const auto& [share, senders] : disperse_votes_) {
-    if (static_cast<int>(senders.size()) >= core::plurality(ctx.t())) {
+    if (senders.size() >= core::plurality(ctx.t())) {
       share_fixed_ = true;
       ctx.broadcast(sim::make_payload<MReconstruct>(share));
       return;

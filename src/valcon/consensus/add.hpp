@@ -25,10 +25,10 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "valcon/consensus/reed_solomon.hpp"
+#include "valcon/core/process_set.hpp"
 #include "valcon/sim/component.hpp"
 
 namespace valcon::consensus {
@@ -61,7 +61,7 @@ class Add final : public sim::Component {
   std::optional<Bytes> output_;
 
   // DISPERSE phase: candidate shares for my index, by content.
-  std::map<Bytes, std::set<ProcessId>> disperse_votes_;
+  std::map<Bytes, core::ProcessSet> disperse_votes_;
   bool share_fixed_ = false;
 
   // RECONSTRUCT phase: share j as sent by P_j.

@@ -1,5 +1,7 @@
 #include "valcon/consensus/binary_consensus.hpp"
 
+#include <cstddef>
+
 #include "valcon/core/thresholds.hpp"
 
 namespace valcon::consensus {
@@ -63,6 +65,12 @@ std::int64_t encode_vote(std::optional<bool> v) {
   return *v ? 1 : 0;
 }
 
+// Index of a vote in RoundState's prevotes / precommits arrays.
+std::size_t vote_slot(std::optional<bool> v) {
+  if (!v.has_value()) return 0;
+  return *v ? 2 : 1;
+}
+
 bool decode_vote(std::int64_t encoded, std::optional<bool>& out) {
   if (encoded == -1) {
     out = std::nullopt;
@@ -88,28 +96,21 @@ crypto::Hash vote_digest(int instance, std::int64_t round, std::uint32_t step,
 }  // namespace
 
 bool BinaryConsensus::justified(bool v, sim::Context& ctx) const {
-  return static_cast<int>(est_senders_[v ? 1 : 0].size()) >=
-         core::plurality(ctx.t());
+  return est_senders_[v ? 1 : 0].size() >= core::plurality(ctx.t());
 }
 
 int BinaryConsensus::count_prevotes(std::int64_t round,
                                     std::optional<bool> v) const {
   const auto rit = rounds_.find(round);
-  if (rit == rounds_.end()) return 0;
-  const auto it = rit->second.prevotes.find(v);
-  return it == rit->second.prevotes.end()
-             ? 0
-             : static_cast<int>(it->second.size());
+  return rit == rounds_.end() ? 0
+                              : rit->second.prevotes[vote_slot(v)].size();
 }
 
 int BinaryConsensus::count_precommits(std::int64_t round,
                                       std::optional<bool> v) const {
   const auto rit = rounds_.find(round);
-  if (rit == rounds_.end()) return 0;
-  const auto it = rit->second.precommits.find(v);
-  return it == rit->second.precommits.end()
-             ? 0
-             : static_cast<int>(it->second.size());
+  return rit == rounds_.end() ? 0
+                              : rit->second.precommits[vote_slot(v)].size();
 }
 
 // ----------------------------------------------------------- lifecycle
@@ -237,14 +238,9 @@ void BinaryConsensus::on_vote_cert(sim::Context& ctx,
   if (qc.voters.count() < core::byz_quorum(ctx.n(), ctx.t())) return;
   if (!ctx.keys().verify_aggregate(qc.voters, qc.agg)) return;
   RoundState& rs = rounds_[qc.round];
-  std::set<ProcessId>& votes = step == kStepPrevote ? rs.prevotes[decoded]
-                                                    : rs.precommits[decoded];
-  for (ProcessId p = 0; p < ctx.n(); ++p) {
-    if (qc.voters.test(p)) {
-      votes.insert(p);
-      rs.participants.insert(p);
-    }
-  }
+  (step == kStepPrevote ? rs.prevotes : rs.precommits)[vote_slot(decoded)]
+      .insert_all(qc.voters);
+  rs.participants.insert_all(qc.voters);
   poll(ctx);
 }
 
@@ -316,7 +312,7 @@ void BinaryConsensus::on_message(sim::Context& ctx, ProcessId from,
     if (cert_mode_ == core::CertMode::kAggregate) return;
     RoundState& rs = rounds_[prevote->round];
     rs.participants.insert(from);
-    rs.prevotes[prevote->value].insert(from);
+    rs.prevotes[vote_slot(prevote->value)].insert(from);
     poll(ctx);
     return;
   }
@@ -324,7 +320,7 @@ void BinaryConsensus::on_message(sim::Context& ctx, ProcessId from,
     if (cert_mode_ == core::CertMode::kAggregate) return;
     RoundState& rs = rounds_[precommit->round];
     rs.participants.insert(from);
-    rs.precommits[precommit->value].insert(from);
+    rs.precommits[vote_slot(precommit->value)].insert(from);
     poll(ctx);
     return;
   }
@@ -349,8 +345,7 @@ void BinaryConsensus::poll(sim::Context& ctx) {
   // (at least one correct process decided that bit).
   if (!decided_.has_value()) {
     for (const bool b : {false, true}) {
-      if (static_cast<int>(decided_senders_[b ? 1 : 0].size()) >=
-          core::plurality(t)) {
+      if (decided_senders_[b ? 1 : 0].size() >= core::plurality(t)) {
         decide(ctx, b);
         break;
       }
@@ -359,9 +354,7 @@ void BinaryConsensus::poll(sim::Context& ctx) {
   if (!decided_.has_value()) {
     for (const auto& [round, rs] : rounds_) {
       for (const bool b : {false, true}) {
-        const auto it = rs.precommits.find(b);
-        if (it != rs.precommits.end() &&
-            static_cast<int>(it->second.size()) >= quorum) {
+        if (rs.precommits[vote_slot(b)].size() >= quorum) {
           decide(ctx, b);
           break;
         }
@@ -373,8 +366,7 @@ void BinaryConsensus::poll(sim::Context& ctx) {
   // has decided, nobody needs our votes anymore.
   if (decided_.has_value()) {
     const std::size_t idx = *decided_ ? 1 : 0;
-    if (static_cast<int>(decided_senders_[idx].size()) >=
-        core::quorum_n_minus_t(n, t)) {
+    if (decided_senders_[idx].size() >= core::quorum_n_minus_t(n, t)) {
       halted_ = true;
       return;
     }
@@ -382,8 +374,7 @@ void BinaryConsensus::poll(sim::Context& ctx) {
 
   // Round skip: t+1 distinct participants in a future round.
   for (auto it = rounds_.upper_bound(round_); it != rounds_.end(); ++it) {
-    if (static_cast<int>(it->second.participants.size()) >=
-        core::plurality(t)) {
+    if (it->second.participants.size() >= core::plurality(t)) {
       start_round(ctx, it->first);
       return;
     }
@@ -394,9 +385,7 @@ void BinaryConsensus::poll(sim::Context& ctx) {
   // validValue update: 2t+1 prevotes for a bit, any round.
   for (const auto& [round, state] : rounds_) {
     for (const bool b : {false, true}) {
-      const auto it = state.prevotes.find(b);
-      if (it != state.prevotes.end() &&
-          static_cast<int>(it->second.size()) >= quorum &&
+      if (state.prevotes[vote_slot(b)].size() >= quorum &&
           round > valid_round_) {
         valid_value_ = b;
         valid_round_ = round;
@@ -446,8 +435,8 @@ void BinaryConsensus::poll(sim::Context& ctx) {
   // Precommit step: a full set of precommits (any mix) ends the round early.
   if (step_ == Step::kPrecommit) {
     int total = 0;
-    for (const auto& [v, senders] : rs.precommits) {
-      total += static_cast<int>(senders.size());
+    for (const core::ProcessSet& senders : rs.precommits) {
+      total += senders.size();
     }
     if (total >= core::quorum_n_minus_t(n, t) &&
         count_precommits(round_, std::nullopt) >= core::plurality(t)) {

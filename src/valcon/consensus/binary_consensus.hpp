@@ -35,12 +35,14 @@
 // votes are lost to the network.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
 
+#include "valcon/core/process_set.hpp"
 #include "valcon/core/quorum.hpp"
 #include "valcon/crypto/hash.hpp"
 #include "valcon/sim/component.hpp"
@@ -95,10 +97,10 @@ class BinaryConsensus final : public sim::Component {
     std::optional<std::pair<bool, std::int64_t>> proposal;  // (v, validRound)
     bool proposal_seen = false;
     bool proposal_sent = false;
-    // prevotes / precommits: value -> senders; nullopt = nil.
-    std::map<std::optional<bool>, std::set<ProcessId>> prevotes;
-    std::map<std::optional<bool>, std::set<ProcessId>> precommits;
-    std::set<ProcessId> participants;  // senders of any message this round
+    // prevotes / precommits: senders per value, indexed nil / 0 / 1.
+    std::array<core::ProcessSet, 3> prevotes;
+    std::array<core::ProcessSet, 3> precommits;
+    core::ProcessSet participants;  // senders of any message this round
   };
 
   [[nodiscard]] ProcessId proposer_of(std::int64_t round, int n) const {
@@ -150,7 +152,7 @@ class BinaryConsensus final : public sim::Component {
   std::int64_t valid_round_ = -1;
 
   std::map<std::int64_t, RoundState> rounds_;
-  std::set<ProcessId> est_senders_[2];  // who announced 0 / 1
+  core::ProcessSet est_senders_[2];  // who announced 0 / 1
 
   // Termination gadget: deciders broadcast DECIDED and keep participating
   // (a Byzantine vote can complete a quorum for a single process only, so
@@ -158,7 +160,7 @@ class BinaryConsensus final : public sim::Component {
   // t+1 matching DECIDEDs are a decision (at least one correct decider);
   // n-t DECIDEDs for the decided value mean every correct process is done,
   // so the instance halts and stops scheduling timers.
-  std::set<ProcessId> decided_senders_[2];
+  core::ProcessSet decided_senders_[2];
   bool halted_ = false;
 };
 

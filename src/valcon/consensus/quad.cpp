@@ -233,8 +233,7 @@ void Quad::maybe_propose(sim::Context& ctx) {
   if (leader_of(cur_view_, n) != ctx.id()) return;
   ViewState& vs = view_state(cur_view_);
   if (vs.proposed || !vs.propose_timer_fired) return;
-  if (static_cast<int>(vs.view_change_senders.size()) <
-      core::quorum_n_minus_t(n, t)) {
+  if (vs.view_change_senders.size() < core::quorum_n_minus_t(n, t)) {
     return;
   }
 
@@ -383,7 +382,7 @@ void Quad::on_message(sim::Context& ctx, ProcessId from,
 
   if (const auto* vc = dynamic_cast<const MViewChange*>(m.get())) {
     ViewState& vs = view_state(vc->view);
-    if (vs.view_change_senders.insert(from).second) {
+    if (vs.view_change_senders.insert(from)) {
       vs.view_changes.emplace_back(vc->qc, vc->value);
     }
     maybe_propose(ctx);
@@ -467,9 +466,9 @@ void Quad::on_message(sim::Context& ctx, ProcessId from,
       return;
     }
     auto& [sigs, senders] = epoch_over_[over->epoch];
-    if (!senders.insert(from).second) return;
+    if (!senders.insert(from)) return;
     sigs.push_back(over->partial);
-    if (static_cast<int>(senders.size()) >= core::quorum_n_minus_t(n, t) &&
+    if (senders.size() >= core::quorum_n_minus_t(n, t) &&
         over->epoch > highest_epoch_cert_) {
       const auto tsig = ctx.keys().combine(sigs);
       if (tsig.has_value()) {

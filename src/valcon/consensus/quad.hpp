@@ -35,10 +35,10 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "valcon/core/process_set.hpp"
 #include "valcon/core/quorum.hpp"
 #include "valcon/crypto/signatures.hpp"
 #include "valcon/sim/component.hpp"
@@ -129,7 +129,7 @@ class Quad final : public sim::Component {
     // Leader side.
     std::vector<std::pair<std::optional<QuorumCert>, QuadProposalPtr>>
         view_changes;
-    std::set<ProcessId> view_change_senders;
+    core::ProcessSet view_change_senders;
     core::QuorumCollector prepare_votes;
     core::QuorumCollector commit_votes;
     bool proposed = false;
@@ -187,7 +187,7 @@ class Quad final : public sim::Component {
 
   std::map<std::int64_t, ViewState> views_;
   std::map<std::int64_t,
-           std::pair<std::vector<crypto::Signature>, std::set<ProcessId>>>
+           std::pair<std::vector<crypto::Signature>, core::ProcessSet>>
       epoch_over_;
   std::int64_t highest_epoch_cert_ = -1;
 };

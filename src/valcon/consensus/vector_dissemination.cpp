@@ -105,7 +105,7 @@ void VectorDissemination::on_slow_deliver(
     sim::Context& slow_ctx, const std::vector<std::uint8_t>& blob,
     ProcessId from) {
   if (acquired_) return;
-  if (!acked_.insert(from).second) return;  // only the first vector per peer
+  if (!acked_.insert(from)) return;  // only the first vector per peer
   const auto decoded = decode_vector_blob(blob);
   if (!decoded.has_value()) return;
   const auto& [vec, sigs] = *decoded;
@@ -148,10 +148,9 @@ void VectorDissemination::own_message(sim::Context& ctx, ProcessId from,
         !ctx.keys().verify(stored->partial)) {
       return;
     }
-    if (!stored_from_.insert(from).second) return;
+    if (!stored_from_.insert(from)) return;
     stored_partials_.push_back(stored->partial);
-    if (static_cast<int>(stored_from_.size()) >=
-        core::quorum_n_minus_t(n, t)) {
+    if (stored_from_.size() >= core::quorum_n_minus_t(n, t)) {
       const auto tsig = ctx.keys().combine(stored_partials_);
       if (tsig.has_value()) {
         confirmed_ = true;

@@ -25,12 +25,12 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "valcon/bcast/slow_broadcast.hpp"
 #include "valcon/consensus/vector_consensus.hpp"
+#include "valcon/core/process_set.hpp"
 #include "valcon/crypto/signatures.hpp"
 #include "valcon/sim/component.hpp"
 
@@ -70,9 +70,9 @@ class VectorDissemination final : public sim::Mux {
 
   std::optional<crypto::Hash> my_hash_;
   std::map<crypto::Hash, core::InputConfig> cache_;
-  std::set<ProcessId> stored_from_;
+  core::ProcessSet stored_from_;
   std::vector<crypto::Signature> stored_partials_;
-  std::set<ProcessId> acked_;  // disseminators already acknowledged
+  core::ProcessSet acked_;  // disseminators already acknowledged
   bool confirmed_ = false;
   bool acquired_ = false;
 };

@@ -20,7 +20,7 @@ std::optional<CertMode> cert_mode_from_token(const std::string& token) {
 
 bool QuorumCollector::add(const crypto::Signature& sig) {
   Tally& tally = tallies_[sig.digest];
-  if (!tally.signers.insert(sig.signer).second) return false;
+  if (!tally.signers.insert(sig.signer)) return false;
   tally.sigs.push_back(sig);
   return true;
 }
@@ -28,7 +28,7 @@ bool QuorumCollector::add(const crypto::Signature& sig) {
 int QuorumCollector::count(const crypto::Hash& digest) const {
   const auto it = tallies_.find(digest);
   if (it == tallies_.end()) return 0;
-  return static_cast<int>(it->second.signers.size());
+  return it->second.signers.size();
 }
 
 std::optional<QuorumCollector::Certificate> QuorumCollector::certify(
@@ -84,7 +84,7 @@ std::pair<int, std::uint64_t> QuorumCollector::rivalry(
   int strongest_rival = 0;
   std::uint64_t conflicting = 0;
   for (const auto& [digest, tally] : tallies_) {
-    const int votes = static_cast<int>(tally.signers.size());
+    const int votes = tally.signers.size();
     if (digest == winner) {
       winner_count = votes;
       continue;

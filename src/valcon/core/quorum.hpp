@@ -33,12 +33,12 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "valcon/common.hpp"
+#include "valcon/core/process_set.hpp"
 #include "valcon/crypto/signatures.hpp"
 #include "valcon/sim/payload.hpp"
 
@@ -108,7 +108,7 @@ class QuorumCollector {
  private:
   struct Tally {
     std::vector<crypto::Signature> sigs;  // in arrival order
-    std::set<ProcessId> signers;
+    ProcessSet signers;
   };
   std::map<crypto::Hash, Tally> tallies_;
 };

@@ -221,7 +221,7 @@ void CommitteeHost::handle_listener_announce(sim::Context& ctx,
   if (!keys_->verify(announce.sig)) return;
   auto& vouchers = listener_votes_[announce.value];
   vouchers.insert(from);
-  if (static_cast<int>(vouchers.size()) < core::plurality(t_c_)) return;
+  if (vouchers.size() < core::plurality(t_c_)) return;
   listener_decided_ = true;
   if (on_decide_) on_decide_(ctx, announce.value);
 }

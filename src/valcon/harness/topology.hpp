@@ -42,11 +42,11 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "valcon/common.hpp"
+#include "valcon/core/process_set.hpp"
 #include "valcon/core/quorum.hpp"
 #include "valcon/core/universal.hpp"
 #include "valcon/crypto/signatures.hpp"
@@ -161,7 +161,7 @@ class CommitteeHost final : public sim::Process {
   bool relayed_ = false;
 
   // Listener state (ids >= k_).
-  std::map<Value, std::set<ProcessId>> listener_votes_;  // per-vote mode
+  std::map<Value, core::ProcessSet> listener_votes_;  // per-vote mode
   bool listener_decided_ = false;
 };
 

@@ -226,6 +226,24 @@ TEST(QuorumCollector, CertifyVerifiedPrunesAPoisonedBatchOnce) {
   EXPECT_EQ(c.count(d), 3);  // the poisoned vote is gone
 }
 
+TEST(QuorumCollector, PrunedSignerIsRecordedAgainOnALaterValidVote) {
+  const crypto::KeyRegistry keys(4, 3, 9);
+  const auto d = digest_of("re-vote");
+  QuorumCollector c;
+  crypto::Signature bad = keys.signer_for(1).sign(d);
+  bad.mac ^= 0x5a5a;
+  EXPECT_TRUE(c.add(bad));
+  EXPECT_TRUE(c.add(keys.signer_for(2).sign(d)));
+  EXPECT_FALSE(c.add(keys.signer_for(1).sign(d)));  // signer 1 already in
+  EXPECT_EQ(c.prune_invalid(keys), 1);
+  EXPECT_EQ(c.count(d), 1);
+  // Pruning erased signer 1 from the tally, so its valid vote counts now.
+  EXPECT_TRUE(c.add(keys.signer_for(1).sign(d)));
+  EXPECT_FALSE(c.add(keys.signer_for(1).sign(d)));
+  EXPECT_EQ(c.count(d), 2);
+  EXPECT_EQ(c.prune_invalid(keys), 0);
+}
+
 TEST(QuorumCollector, RivalryReportsMarginAndRivalVotes) {
   const crypto::KeyRegistry keys(4, 3, 5);
   const auto d1 = digest_of("winner");

@@ -38,6 +38,11 @@ linter bans the known ways determinism leaks out of a C++ codebase:
                       src/valcon/crypto/sha256.cpp.  A code path picked by
                       the host CPU stays in that one file, where the SHA-256
                       kernels are tested in lockstep on every host.
+  set-tally           std::set<ProcessId> / std::set<int> in protocol code
+                      (a consensus/ or bcast/ directory, the scope of
+                      protomap's raw-quorum audit).  A distinct-senders
+                      tally there is a core::ProcessSet: a tree node per
+                      vote is the allocation the dense set removes.
   bad-suppression     A `valcon-lint: allow(...)` comment without a written
                       reason.  Suppressions are part of the audit trail; a
                       bare waiver is itself a finding.
@@ -219,6 +224,11 @@ CPU_DISPATCH_PATTERNS = [
 # The one file allowed to hold CPU-dependent code (matched as a path suffix).
 CPU_DISPATCH_HOME = "src/valcon/crypto/sha256.cpp"
 
+SET_TALLY_RE = re.compile(
+    r"(?<![\w:])(?:std::)?set\s*<\s*(?:(?:valcon::)?ProcessId|int)\s*>")
+# Protocol-code directories (any path component), as in valcon_protomap.py.
+SET_TALLY_DIRS = frozenset({"consensus", "bcast"})
+
 PAYLOAD_SUBCLASS_RE = re.compile(
     r"\b(?:struct|class)\s+([\w:]+)\s*(?:final\s*)?:"
     r"[^;{]*?\b(?:public\s+)?(?:[\w:]+::)?Payload\b")
@@ -340,6 +350,21 @@ def rule_cpu_dispatch(path, code_lines, raw_lines):
         "both SHA-256 kernels run in lockstep tests; call through it")
 
 
+def rule_set_tally(path, code_lines, _raw):
+    if not SET_TALLY_DIRS.intersection(path.replace(os.sep, "/")
+                                       .split("/")[:-1]):
+        return []
+    findings = []
+    for idx, line in enumerate(code_lines):
+        if SET_TALLY_RE.search(line):
+            findings.append(Finding(
+                path, idx + 1, "set-tally",
+                "a std::set of process ids allocates a node per vote; "
+                "tally distinct senders in a core::ProcessSet "
+                "(core/process_set.hpp)"))
+    return findings
+
+
 def rule_payload_type(path, code_lines, _raw):
     """Every concrete Payload subclass must declare VALCON_PAYLOAD_TYPE in
     its body, so its metrics identity is interned and cached.  Wrapper
@@ -381,6 +406,7 @@ RULES = {
     "assert-validation": rule_assert_validation,
     "payload-type": rule_payload_type,
     "cpu-dispatch": rule_cpu_dispatch,
+    "set-tally": rule_set_tally,
 }
 
 
