@@ -94,13 +94,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 // boundary. Everything below the storm logic — MuxMsg wrapping and
 // routing, Metrics accounting, Network delay sampling, the event queue,
 // payload allocation — is the library's own hot path.
-//
-// This source also builds against the pre-interning library (for
-// measuring the committed baseline): the shim below maps the new macros
-// onto the old virtual-only API.
-#ifndef VALCON_PAYLOAD_TYPE
-#define VALCON_NO_PAYLOAD_INTERNING
-#endif
 
 namespace names {
 const char* const kTypes[12] = {
@@ -116,7 +109,6 @@ struct Token final : sim::Payload {
   [[nodiscard]] const char* type_name() const override {
     return names::kTypes[phase];
   }
-#ifndef VALCON_NO_PAYLOAD_INTERNING
   [[nodiscard]] sim::PayloadTypeId type_id() const override {
     static const sim::PayloadTypeId ids[12] = {
         sim::PayloadTypeRegistry::intern(names::kTypes[0]),
@@ -133,7 +125,6 @@ struct Token final : sim::Payload {
         sim::PayloadTypeRegistry::intern(names::kTypes[11])};
     return ids[phase];
   }
-#endif
   [[nodiscard]] std::size_t size_words() const override { return 2; }
   int phase;
   bool vote;

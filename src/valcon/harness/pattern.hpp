@@ -18,14 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "valcon/common.hpp"
+#include "valcon/harness/registry.hpp"
 #include "valcon/harness/validity_kind.hpp"
 
 namespace valcon::harness {
@@ -55,7 +53,7 @@ class ProposalPattern {
       const PatternEnv& env) const = 0;
 };
 
-/// String-keyed factory registry, mirroring StrategyRegistry. The global()
+/// The proposal-pattern registry (harness/registry.hpp). The global()
 /// instance starts with the built-in patterns registered:
 ///
 ///   "rotating"    — (p + seed) % domain: the historical default, each
@@ -68,35 +66,13 @@ class ProposalPattern {
 ///                   CorrectProposal, unanimity broken by a single
 ///                   dissenter (process n-1) for Strong/Weak, alternating
 ///                   extremes {0, domain-1} for Median/ConvexHull
-///
-/// Libraries and tests add their own with add(). Lookups are thread-safe
-/// (sweep workers resolve patterns concurrently).
-class PatternRegistry {
+class PatternRegistry : public NamedRegistry<ProposalPattern> {
  public:
-  using Factory = std::function<std::unique_ptr<ProposalPattern>()>;
-
-  PatternRegistry() = default;  // empty registry (for tests)
+  PatternRegistry()  // empty registry (for tests)
+      : NamedRegistry("PatternRegistry", "pattern", "proposal pattern") {}
 
   /// The process-wide registry, with the built-ins pre-registered.
   [[nodiscard]] static PatternRegistry& global();
-
-  /// Registers a factory. Throws std::invalid_argument for an empty name,
-  /// a null factory, or a name that is already taken.
-  void add(const std::string& name, Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-
-  /// Instantiates the pattern registered under `name`. Throws
-  /// std::invalid_argument for unknown names, listing what is registered.
-  [[nodiscard]] std::unique_ptr<ProposalPattern> make(
-      const std::string& name) const;
-
-  /// Registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, Factory> factories_;
 };
 
 }  // namespace valcon::harness

@@ -1,8 +1,9 @@
 #include "valcon/harness/search.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstdlib>
+#include <initializer_list>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -21,71 +22,91 @@ Verdict classify(const SweepOutcome& outcome) {
   return Verdict::kClean;
 }
 
-std::string verdict_token(Verdict v) {
-  switch (v) {
-    case Verdict::kClean: return "clean";
-    case Verdict::kTermination: return "termination";
-    case Verdict::kAgreement: return "agreement";
-    case Verdict::kValidity: return "validity";
-    case Verdict::kError: return "error";
+namespace {
+
+/// Round-trippable wire tokens: one table per enum serves both directions.
+template <typename E>
+using Tokens = std::initializer_list<std::pair<E, const char*>>;
+
+const Tokens<Verdict> kVerdictTokens{{Verdict::kClean, "clean"},
+                                     {Verdict::kTermination, "termination"},
+                                     {Verdict::kAgreement, "agreement"},
+                                     {Verdict::kValidity, "validity"},
+                                     {Verdict::kError, "error"}};
+const Tokens<VcKind> kVcTokens{{VcKind::kAuthenticated, "auth"},
+                               {VcKind::kNonAuthenticated, "nonauth"},
+                               {VcKind::kFast, "fast"}};
+const Tokens<ValidityKind> kValidityTokens{
+    {ValidityKind::kStrong, "strong"},
+    {ValidityKind::kWeak, "weak"},
+    {ValidityKind::kCorrectProposal, "correct-proposal"},
+    {ValidityKind::kMedian, "median"},
+    {ValidityKind::kConvexHull, "convex-hull"}};
+
+template <typename E>
+std::string token_of(const Tokens<E>& tokens, E value) {
+  for (const auto& [v, token] : tokens) {
+    if (v == value) return token;
   }
   return "?";
 }
 
+template <typename E>
+std::optional<E> value_of(const Tokens<E>& tokens, const std::string& token) {
+  for (const auto& [v, t] : tokens) {
+    if (token == t) return v;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::string verdict_token(Verdict v) { return token_of(kVerdictTokens, v); }
 std::optional<Verdict> verdict_from_token(const std::string& token) {
-  if (token == "clean") return Verdict::kClean;
-  if (token == "termination") return Verdict::kTermination;
-  if (token == "agreement") return Verdict::kAgreement;
-  if (token == "validity") return Verdict::kValidity;
-  if (token == "error") return Verdict::kError;
-  return std::nullopt;
+  return value_of(kVerdictTokens, token);
 }
-
-std::string vc_token(VcKind vc) {
-  switch (vc) {
-    case VcKind::kAuthenticated: return "auth";
-    case VcKind::kNonAuthenticated: return "nonauth";
-    case VcKind::kFast: return "fast";
-  }
-  return "?";
-}
-
+std::string vc_token(VcKind vc) { return token_of(kVcTokens, vc); }
 std::optional<VcKind> vc_from_token(const std::string& token) {
-  if (token == "auth") return VcKind::kAuthenticated;
-  if (token == "nonauth") return VcKind::kNonAuthenticated;
-  if (token == "fast") return VcKind::kFast;
-  return std::nullopt;
+  return value_of(kVcTokens, token);
 }
-
 std::string validity_token(ValidityKind kind) {
-  switch (kind) {
-    case ValidityKind::kStrong: return "strong";
-    case ValidityKind::kWeak: return "weak";
-    case ValidityKind::kCorrectProposal: return "correct-proposal";
-    case ValidityKind::kMedian: return "median";
-    case ValidityKind::kConvexHull: return "convex-hull";
-  }
-  return "?";
+  return token_of(kValidityTokens, kind);
 }
-
 std::optional<ValidityKind> validity_from_token(const std::string& token) {
-  if (token == "strong") return ValidityKind::kStrong;
-  if (token == "weak") return ValidityKind::kWeak;
-  if (token == "correct-proposal") return ValidityKind::kCorrectProposal;
-  if (token == "median") return ValidityKind::kMedian;
-  if (token == "convex-hull") return ValidityKind::kConvexHull;
-  return std::nullopt;
+  return value_of(kValidityTokens, token);
 }
 
-bool Candidate::operator==(const Candidate& other) const {
-  return strategy == other.strategy && fault_count == other.fault_count &&
-         vc == other.vc && validity == other.validity &&
-         pattern == other.pattern && net_profile == other.net_profile &&
-         n == other.n && t == other.t && gst == other.gst &&
-         delta == other.delta && domain == other.domain &&
-         victims == other.victims && observe == other.observe &&
-         cert == other.cert && topology == other.topology &&
-         seed == other.seed;
+namespace {
+
+/// The table axes' members, indexed by axis_index() (enum order).
+constexpr std::array<std::string Candidate::*, kAxisCount> kCandidateAxes{
+    &Candidate::strategy, &Candidate::pattern, &Candidate::net_profile,
+    &Candidate::cert, &Candidate::topology};
+constexpr std::array<std::vector<std::string> SearchSpace::*, kAxisCount>
+    kSpaceAxes{&SearchSpace::strategies, &SearchSpace::patterns,
+               &SearchSpace::net_profiles, &SearchSpace::cert_modes,
+               &SearchSpace::topologies};
+
+/// True when the cell formats carry `axis` for `c`: always for ungated
+/// axes, only off the default for AxisSpec::cell_gated ones — which keeps
+/// every legacy corpus cell's bytes, key and file name unchanged.
+bool carried(const Candidate& c, const AxisSpec& axis) {
+  return !axis.cell_gated || c.at(axis.id) != axis.default_token;
+}
+
+}  // namespace
+
+std::string& Candidate::at(Axis axis) {
+  return this->*kCandidateAxes[axis_index(axis)];
+}
+const std::string& Candidate::at(Axis axis) const {
+  return this->*kCandidateAxes[axis_index(axis)];
+}
+std::vector<std::string>& SearchSpace::pool(Axis axis) {
+  return this->*kSpaceAxes[axis_index(axis)];
+}
+const std::vector<std::string>& SearchSpace::pool(Axis axis) const {
+  return this->*kSpaceAxes[axis_index(axis)];
 }
 
 std::string Candidate::key() const {
@@ -95,13 +116,8 @@ std::string Candidate::key() const {
      << '/' << n << '/' << t << '/' << io::json_number(gst) << '/'
      << io::json_number(delta) << '/' << domain << '/' << victims << '/'
      << observe << '/';
-  // Wire-gated like the cell JSON: per-vote / full-mesh (the historical
-  // only values) stay absent, so legacy keys are unchanged.
-  if (cert != core::CertMode::kPerVote) {
-    os << core::cert_mode_token(cert) << '/';
-  }
-  if (topology != "full-mesh") {
-    os << topology << '/';
+  for (const AxisSpec& axis : kAxes) {
+    if (axis.cell_gated && carried(*this, axis)) os << at(axis.id) << '/';
   }
   os << seed;
   return os.str();
@@ -118,18 +134,18 @@ SweepPoint candidate_point(const Candidate& c) {
   }
   spec.victims = c.victims;
   spec.observe = c.observe;
-  return ScenarioMatrix()
-      .vc_kinds({c.vc})
+  ScenarioMatrix matrix;
+  for (const AxisSpec& axis : kAxes) {
+    // The strategy axis is the fault spec above.
+    if (axis.id != Axis::kStrategy) matrix.values(axis.id, {c.at(axis.id)});
+  }
+  return matrix.vc_kinds({c.vc})
       .validities({c.validity})
-      .patterns({c.pattern})
       .faults({spec})
       .sizes({{c.n, c.t}})
-      .network_profiles({c.net_profile})
       .gsts({c.gst})
       .deltas({c.delta})
       .seeds({c.seed})
-      .cert_modes({c.cert})
-      .topologies({c.topology})
       .proposal_domain(c.domain)
       .record_near_miss(true)
       // Bounded liveness cutoff: a non-terminating candidate (the search's
@@ -182,63 +198,64 @@ std::uint64_t sample_seed(sim::Rng& rng) {
   return 1 + rng.next_below(1u << 16);
 }
 
-Candidate sample(sim::Rng& rng, const SearchSpace& space) {
-  Candidate c;
-  c.strategy = pick(rng, space.strategies);
-  c.vc = pick(rng, space.vcs);
-  c.validity = pick(rng, space.validities);
-  c.pattern = pick(rng, space.patterns);
-  c.net_profile = pick(rng, space.net_profiles);
-  const auto [n, t] = pick(rng, space.sizes);
-  c.n = n;
-  c.t = t;
-  c.gst = pick(rng, space.gsts);
-  c.delta = pick(rng, space.deltas);
-  c.domain = pick(rng, space.domains);
-  c.fault_count = -1;  // all t faulty; shrinking minimizes later
-  c.cert = pick(rng, space.cert_modes);
-  c.topology = pick(rng, space.topologies);
-  c.seed = sample_seed(rng);
-  return c;
-}
-
-Candidate mutate(sim::Rng& rng, const SearchSpace& space, Candidate c) {
+/// Redraws one gene of `c` from its pool. The gene numbers are pinned,
+/// like kSampleOrder: mutate() redraws genes by number, and every search
+/// report depends on both.
+void redraw(sim::Rng& rng, const SearchSpace& space, Candidate& c, int gene) {
   // Small knob pools for the fault parameters the colluding/adaptive
   // strategies consume (-1 = the Fault default).
   static const std::vector<int> kVictims{-1, 1, 2, 3};
   static const std::vector<int> kObserve{-1, 1, 4, 8, 16, 32};
+  const auto draw = [&](Axis axis) {
+    c.at(axis) = pick(rng, space.pool(axis));
+  };
+  switch (gene) {
+    case 0: draw(Axis::kStrategy); break;
+    case 1: c.vc = pick(rng, space.vcs); break;
+    case 2: c.validity = pick(rng, space.validities); break;
+    case 3: draw(Axis::kPattern); break;
+    case 4: draw(Axis::kNetProfile); break;
+    case 5: {
+      const auto [n, t] = pick(rng, space.sizes);
+      c.n = n;
+      c.t = t;
+      if (c.fault_count > t) c.fault_count = -1;
+      break;
+    }
+    case 6: c.gst = pick(rng, space.gsts); break;
+    case 7: c.delta = pick(rng, space.deltas); break;
+    case 8: c.domain = pick(rng, space.domains); break;
+    case 9:
+      c.fault_count =
+          c.t > 0 ? static_cast<int>(1 + rng.next_below(
+                        static_cast<std::uint64_t>(c.t)))
+                  : 0;
+      break;
+    case 10:
+      c.victims = pick(rng, kVictims);
+      c.observe = pick(rng, kObserve);
+      break;
+    case 11: draw(Axis::kCertMode); break;
+    case 12: draw(Axis::kTopology); break;
+    default: c.seed = sample_seed(rng); break;
+  }
+}
+
+/// The genes a fresh candidate draws, in draw order. The fault count and
+/// knobs keep their defaults (all t faulty; shrinking minimizes later).
+constexpr std::array<int, 12> kSampleOrder{
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13};
+
+Candidate sample(sim::Rng& rng, const SearchSpace& space) {
+  Candidate c;
+  for (const int gene : kSampleOrder) redraw(rng, space, c, gene);
+  return c;
+}
+
+Candidate mutate(sim::Rng& rng, const SearchSpace& space, Candidate c) {
   const int tweaks = 1 + static_cast<int>(rng.next_below(2));
   for (int i = 0; i < tweaks; ++i) {
-    switch (rng.next_below(14)) {
-      case 0: c.strategy = pick(rng, space.strategies); break;
-      case 1: c.vc = pick(rng, space.vcs); break;
-      case 2: c.validity = pick(rng, space.validities); break;
-      case 3: c.pattern = pick(rng, space.patterns); break;
-      case 4: c.net_profile = pick(rng, space.net_profiles); break;
-      case 5: {
-        const auto [n, t] = pick(rng, space.sizes);
-        c.n = n;
-        c.t = t;
-        if (c.fault_count > t) c.fault_count = -1;
-        break;
-      }
-      case 6: c.gst = pick(rng, space.gsts); break;
-      case 7: c.delta = pick(rng, space.deltas); break;
-      case 8: c.domain = pick(rng, space.domains); break;
-      case 9:
-        c.fault_count =
-            c.t > 0 ? static_cast<int>(1 + rng.next_below(
-                          static_cast<std::uint64_t>(c.t)))
-                    : 0;
-        break;
-      case 10:
-        c.victims = pick(rng, kVictims);
-        c.observe = pick(rng, kObserve);
-        break;
-      case 11: c.cert = pick(rng, space.cert_modes); break;
-      case 12: c.topology = pick(rng, space.topologies); break;
-      default: c.seed = sample_seed(rng); break;
-    }
+    redraw(rng, space, c, static_cast<int>(rng.next_below(14)));
   }
   return c;
 }
@@ -252,17 +269,15 @@ void require_nonempty(bool ok, const char* axis) {
 
 void check_options(const SearchOptions& options) {
   const SearchSpace& s = options.space;
-  require_nonempty(!s.strategies.empty(), "strategy");
+  for (const AxisSpec& axis : kAxes) {
+    require_nonempty(!s.pool(axis.id).empty(), axis.name);
+  }
   require_nonempty(!s.vcs.empty(), "vc");
   require_nonempty(!s.validities.empty(), "validity");
-  require_nonempty(!s.patterns.empty(), "pattern");
-  require_nonempty(!s.net_profiles.empty(), "network-profile");
   require_nonempty(!s.sizes.empty(), "size");
   require_nonempty(!s.gsts.empty(), "gst");
   require_nonempty(!s.deltas.empty(), "delta");
   require_nonempty(!s.domains.empty(), "domain");
-  require_nonempty(!s.cert_modes.empty(), "cert-mode");
-  require_nonempty(!s.topologies.empty(), "topology");
   if (options.budget <= 0) {
     throw std::invalid_argument("search budget must be positive");
   }
@@ -273,25 +288,13 @@ void check_options(const SearchOptions& options) {
 
 // ---------------------------------------------------------------- shrinking
 
-/// Sizes of the pool strictly simpler than (n, t): fewer processes first,
-/// then lower tolerance.
-std::vector<std::pair<int, int>> simpler_sizes(const SearchSpace& space,
-                                               int n, int t) {
-  std::vector<std::pair<int, int>> out;
-  for (const auto& size : space.sizes) {
-    if (size.first < n || (size.first == n && size.second < t)) {
-      out.push_back(size);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-/// Times of the pool strictly smaller than `current`, ascending.
-std::vector<Time> smaller_times(const std::vector<Time>& pool, Time current) {
-  std::vector<Time> out;
-  for (const Time v : pool) {
+/// The pool's values strictly below `current`, ascending and distinct:
+/// the simpler candidates of one shrink pass ((n, t) pairs order by n,
+/// then t).
+template <typename T>
+std::vector<T> below(const std::vector<T>& pool, const T& current) {
+  std::vector<T> out;
+  for (const T& v : pool) {
     if (v < current) out.push_back(v);
   }
   std::sort(out.begin(), out.end());
@@ -322,113 +325,69 @@ Counterexample shrink(const Candidate& c, Verdict verdict,
   // Axis passes to a fixpoint. Each pass tries strictly simpler values for
   // one axis (simplest first) and accepts the first that preserves the
   // verdict; the identity axes (strategy, stack, property) are never
-  // touched — they name WHAT broke, not how hard the cell is to read.
+  // touched — they name WHAT broke, not how hard the cell is to read. The
+  // pass order is pinned by the shrunk corpus cells.
   bool changed = true;
+  // Keeps `next` when it still reproduces the verdict.
+  const auto accept = [&](const Candidate& next) {
+    if (!reproduces(next)) return false;
+    cur = next;
+    changed = true;
+    return true;
+  };
+  // One pass: the first of `values` (simplest first) that reproduces once
+  // `set` writes it into the current cell.
+  const auto first_of = [&](const auto& values, const auto& set) {
+    for (const auto& value : values) {
+      Candidate next = cur;
+      set(next, value);
+      if (accept(next)) return;
+    }
+  };
+  // A table axis's pass: its default token is the simpler cell. A
+  // violation that survives on the default per-vote backend is not about
+  // the QC layer at all, one that survives on the full mesh is not about
+  // the committee announce/relay layer, and so on.
+  const auto toward_default = [&](Axis axis) {
+    const char* simplest = axis_spec(axis).default_token;
+    if (cur.at(axis) == simplest) return;
+    Candidate next = cur;
+    next.at(axis) = simplest;
+    accept(next);
+  };
   while (changed && probes < options.max_shrink_probes) {
     changed = false;
-    for (const auto& [n, t] : simpler_sizes(space, cur.n, cur.t)) {
-      Candidate next = cur;
-      next.n = n;
-      next.t = t;
-      // >= keeps the count canonical (see entry): a count equal to the new
-      // t is the same cell as -1.
-      if (next.fault_count >= t) next.fault_count = -1;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-        break;
-      }
-    }
+    first_of(below(space.sizes, std::make_pair(cur.n, cur.t)),
+             [](Candidate& next, const std::pair<int, int>& size) {
+               next.n = size.first;
+               next.t = size.second;
+               // >= keeps the count canonical (see entry): a count equal
+               // to the new t is the same cell as -1.
+               if (next.fault_count >= size.second) next.fault_count = -1;
+             });
     const int resolved =
         cur.fault_count < 0 ? cur.t : std::min(cur.fault_count, cur.t);
     for (int k = 1; k < resolved; ++k) {
       Candidate next = cur;
       next.fault_count = k;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-        break;
-      }
+      if (accept(next)) break;
     }
-    if (cur.pattern != "rotating") {
-      Candidate next = cur;
-      next.pattern = "rotating";
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-      }
-    }
-    if (cur.net_profile != "uniform") {
-      Candidate next = cur;
-      next.net_profile = "uniform";
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-      }
-    }
-    for (const Time gst : smaller_times(space.gsts, cur.gst)) {
-      Candidate next = cur;
-      next.gst = gst;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-        break;
-      }
-    }
-    for (const Time delta : smaller_times(space.deltas, cur.delta)) {
-      Candidate next = cur;
-      next.delta = delta;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-        break;
-      }
-    }
-    {
-      std::vector<Value> domains;
-      for (const Value d : space.domains) {
-        if (d < cur.domain) domains.push_back(d);
-      }
-      std::sort(domains.begin(), domains.end());
-      for (const Value d : domains) {
-        Candidate next = cur;
-        next.domain = d;
-        if (reproduces(next)) {
-          cur = next;
-          changed = true;
-          break;
-        }
-      }
-    }
+    toward_default(Axis::kPattern);
+    toward_default(Axis::kNetProfile);
+    first_of(below(space.gsts, cur.gst),
+             [](Candidate& next, Time gst) { next.gst = gst; });
+    first_of(below(space.deltas, cur.delta),
+             [](Candidate& next, Time delta) { next.delta = delta; });
+    first_of(below(space.domains, cur.domain),
+             [](Candidate& next, Value domain) { next.domain = domain; });
     if (cur.victims != -1 || cur.observe != -1) {
       Candidate next = cur;
       next.victims = -1;
       next.observe = -1;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-      }
+      accept(next);
     }
-    // The per-vote backend is the simpler cell: a violation that survives
-    // without aggregation is not about the QC layer at all.
-    if (cur.cert != core::CertMode::kPerVote) {
-      Candidate next = cur;
-      next.cert = core::CertMode::kPerVote;
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-      }
-    }
-    // Likewise full-mesh: a violation that survives without the committee
-    // overlay is not about the announce/relay layer at all.
-    if (cur.topology != "full-mesh") {
-      Candidate next = cur;
-      next.topology = "full-mesh";
-      if (reproduces(next)) {
-        cur = next;
-        changed = true;
-      }
-    }
+    toward_default(Axis::kCertMode);
+    toward_default(Axis::kTopology);
   }
   // Seed re-derivation: the smallest seed in [1, seed_tries] below the
   // found one that still reproduces. Ascending order + first-accept keeps
@@ -566,14 +525,11 @@ void candidate_fields(std::ostream& os, const Candidate& c) {
      << "\"domain\": " << c.domain << ", "
      << "\"victims\": " << c.victims << ", "
      << "\"observe\": " << c.observe << ", ";
-  // Wire-gated (same convention as the sweep axes): the per-vote /
-  // full-mesh defaults are absent, so every legacy corpus cell keeps its
-  // exact bytes.
-  if (c.cert != core::CertMode::kPerVote) {
-    os << "\"cert_mode\": \"" << core::cert_mode_token(c.cert) << "\", ";
-  }
-  if (c.topology != "full-mesh") {
-    os << "\"topology\": \"" << io::json_escape(c.topology) << "\", ";
+  for (const AxisSpec& axis : kAxes) {
+    if (axis.cell_gated && carried(c, axis)) {
+      os << "\"" << axis.line_field << "\": \""
+         << io::json_escape(c.at(axis.id)) << "\", ";
+    }
   }
   os << "\"seed\": " << c.seed;
 }
@@ -589,33 +545,23 @@ void cell_object(std::ostream& os, const Counterexample& cx) {
      << "}}";
 }
 
-// Strict field extraction over the (machine-written) cell format. The
-// emitted strings never contain escapes, so raw find() lookups mirror
-// parse_outcome_line's approach.
+// Strict wrappers over the io:: key-scan readers: a cell is machine
+// written, so a missing or malformed field is a malformed cell.
 
 [[noreturn]] void bad_cell(const std::string& what) {
   throw std::runtime_error("malformed counterexample cell: " + what);
 }
 
 std::string string_field(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const auto at = json.find(needle);
-  if (at == std::string::npos) bad_cell("missing string field '" + key + "'");
-  const auto start = at + needle.size();
-  const auto end = json.find('"', start);
-  if (end == std::string::npos) bad_cell("unterminated field '" + key + "'");
-  return json.substr(start, end - start);
+  auto v = io::string_field(json, key);
+  if (!v.has_value()) bad_cell("missing string field '" + key + "'");
+  return std::move(*v);
 }
 
 double number_field(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const auto at = json.find(needle);
-  if (at == std::string::npos) bad_cell("missing number field '" + key + "'");
-  const char* begin = json.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) bad_cell("non-numeric field '" + key + "'");
-  return v;
+  const auto v = io::number_field(json, key);
+  if (!v.has_value()) bad_cell("missing number field '" + key + "'");
+  return *v;
 }
 
 int int_field(const std::string& json, const std::string& key) {
@@ -626,13 +572,9 @@ int int_field(const std::string& json, const std::string& key) {
 }
 
 bool bool_field(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const auto at = json.find(needle);
-  if (at == std::string::npos) bad_cell("missing bool field '" + key + "'");
-  const auto start = at + needle.size();
-  if (json.compare(start, 4, "true") == 0) return true;
-  if (json.compare(start, 5, "false") == 0) return false;
-  bad_cell("non-boolean field '" + key + "'");
+  const auto v = io::bool_field(json, key);
+  if (!v.has_value()) bad_cell("missing bool field '" + key + "'");
+  return *v;
 }
 
 }  // namespace
@@ -659,10 +601,7 @@ CorpusCell parse_cell(const std::string& json) {
   const auto validity = validity_from_token(string_field(json, "validity"));
   if (!validity.has_value()) bad_cell("unknown validity token");
   c.validity = *validity;
-  c.strategy = string_field(json, "strategy");
   c.fault_count = int_field(json, "fault_count");
-  c.pattern = string_field(json, "pattern");
-  c.net_profile = string_field(json, "net_profile");
   c.n = int_field(json, "n");
   c.t = int_field(json, "t");
   c.gst = number_field(json, "gst");
@@ -670,18 +609,19 @@ CorpusCell parse_cell(const std::string& json) {
   c.domain = int_field(json, "domain");
   c.victims = int_field(json, "victims");
   c.observe = int_field(json, "observe");
-  // Absent on legacy cells (strictness exception: absence IS the per-vote
-  // / full-mesh default under the wire gate, not a malformed cell).
-  if (json.find("\"cert_mode\": \"") != std::string::npos) {
-    const auto cert = core::cert_mode_from_token(string_field(json,
-                                                              "cert_mode"));
-    if (!cert.has_value()) bad_cell("unknown cert_mode token");
-    c.cert = *cert;
-  }
-  if (json.find("\"topology\": \"") != std::string::npos) {
-    c.topology = string_field(json, "topology");
-    // Throws for malformed names; a corpus cell must always replay.
-    static_cast<void>(named_topology(c.topology));
+  for (const AxisSpec& axis : kAxes) {
+    auto token = io::string_field(json, axis.line_field);
+    if (!token.has_value()) {
+      // Strictness exception: a gated axis is absent at its default.
+      if (axis.cell_gated) continue;
+      bad_cell(std::string("missing string field '") + axis.line_field + "'");
+    }
+    try {
+      axis.check(*token);  // a corpus cell must always replay
+    } catch (const std::invalid_argument& e) {
+      bad_cell(e.what());
+    }
+    c.at(axis.id) = std::move(*token);
   }
   const double seed = number_field(json, "seed");
   if (seed < 0 || static_cast<double>(static_cast<std::uint64_t>(seed)) !=
@@ -700,11 +640,8 @@ std::string cell_filename(const Counterexample& cx) {
   std::ostringstream os;
   os << verdict_token(cx.verdict) << "-" << vc_token(c.vc) << "-"
      << c.strategy;
-  if (c.cert != core::CertMode::kPerVote) {
-    os << "-" << core::cert_mode_token(c.cert);
-  }
-  if (c.topology != "full-mesh") {
-    os << "-" << c.topology;
+  for (const AxisSpec& axis : kAxes) {
+    if (axis.cell_gated && carried(c, axis)) os << "-" << c.at(axis.id);
   }
   os << "-n" << c.n << "t" << c.t << "-s" << c.seed << ".json";
   return os.str();

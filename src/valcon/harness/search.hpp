@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "valcon/harness/axis.hpp"
 #include "valcon/harness/sweep.hpp"
 
 namespace valcon::harness {
@@ -73,12 +74,13 @@ enum class Verdict {
 /// sweep uses (faulty ids are the highest ids, negative fields resolve
 /// per-scenario, near-miss recording is on).
 struct Candidate {
-  std::string strategy = "silent";  // "none" = fault-free
-  int fault_count = -1;             // -1 resolves to t
+  // "none" = fault-free
+  std::string strategy = axis_spec(Axis::kStrategy).default_token;
+  int fault_count = -1;  // -1 resolves to t
   VcKind vc = VcKind::kAuthenticated;
   ValidityKind validity = ValidityKind::kStrong;
-  std::string pattern = "rotating";
-  std::string net_profile = "uniform";
+  std::string pattern = axis_spec(Axis::kPattern).default_token;
+  std::string net_profile = axis_spec(Axis::kNetProfile).default_token;
   int n = 4;
   int t = 1;
   Time gst = 0.0;
@@ -86,19 +88,22 @@ struct Candidate {
   Value domain = 3;
   int victims = -1;  // adaptive / collude-withhold; -1 = Fault default
   int observe = -1;  // adaptive / collude-withhold; -1 = Fault default
-  /// Certificate backend (core/quorum.hpp). Follows the wire-gating
-  /// convention of the sweep axes: the per-vote default is absent from
-  /// key(), the cell JSON and the cell file name, so every legacy corpus
-  /// cell keeps its exact bytes and identity.
-  core::CertMode cert = core::CertMode::kPerVote;
-  /// Communication topology (harness/topology.hpp). Wire-gated like cert:
-  /// the full-mesh default is absent from key(), the cell JSON and the
-  /// cell file name. A committee larger than n evaluates to an error
-  /// verdict (run_universal rejects it), never a crash.
-  std::string topology = "full-mesh";
+  /// Certificate backend token (core::cert_mode_token). Wire-gated like
+  /// the sweep axes (AxisSpec::cell_gated): the per-vote default is absent
+  /// from key(), the cell JSON and the cell file name, so every legacy
+  /// corpus cell keeps its exact bytes and identity.
+  std::string cert = axis_spec(Axis::kCertMode).default_token;
+  /// Communication topology (harness/topology.hpp). Wire-gated like cert.
+  /// A committee larger than n evaluates to an error verdict
+  /// (run_universal rejects it), never a crash.
+  std::string topology = axis_spec(Axis::kTopology).default_token;
   std::uint64_t seed = 1;
 
-  [[nodiscard]] bool operator==(const Candidate& other) const;
+  /// The candidate's token on a table axis (harness/axis.hpp).
+  [[nodiscard]] std::string& at(Axis axis);
+  [[nodiscard]] const std::string& at(Axis axis) const;
+
+  [[nodiscard]] bool operator==(const Candidate& other) const = default;
   /// Stable human-readable identity (also the dedup key).
   [[nodiscard]] std::string key() const;
 };
@@ -139,17 +144,23 @@ struct SearchSpace {
   std::vector<Time> gsts{0.0, 5.0, 30.0};
   std::vector<Time> deltas{1.0};
   std::vector<Value> domains{3};
-  /// Certificate backends. The per-vote default keeps the historical
-  /// search byte-identical; `valcon_search --cert-modes
+  /// Certificate backend tokens. The per-vote default keeps the
+  /// historical search byte-identical; `valcon_search --cert-modes
   /// per-vote,aggregate` widens the pool so forge-qc (inert per-vote) has
   /// QCs to forge.
-  std::vector<core::CertMode> cert_modes{core::CertMode::kPerVote};
+  std::vector<std::string> cert_modes{
+      axis_spec(Axis::kCertMode).default_token};
   /// Topologies ("full-mesh" / "committee-<k>"). Widening the pool (e.g.
   /// `valcon_search --topologies full-mesh,committee-4`) lets the search
   /// attack the committee announce/relay layer; pair it with sizes large
   /// enough for the committees, since a committee larger than n is an
   /// error cell.
-  std::vector<std::string> topologies{"full-mesh"};
+  std::vector<std::string> topologies{
+      axis_spec(Axis::kTopology).default_token};
+
+  /// The pool of a table axis (harness/axis.hpp): what its CLI flag sets.
+  [[nodiscard]] std::vector<std::string>& pool(Axis axis);
+  [[nodiscard]] const std::vector<std::string>& pool(Axis axis) const;
 };
 
 struct SearchOptions {

@@ -328,77 +328,24 @@ class ForgeQcStrategy final : public Strategy {
   }
 };
 
-template <typename T>
-void add_builtin(StrategyRegistry& registry, const std::string& name) {
-  registry.add(name, [] { return std::make_unique<T>(); });
-}
-
 }  // namespace
 
 StrategyRegistry& StrategyRegistry::global() {
   static StrategyRegistry* registry = [] {
     auto* r = new StrategyRegistry();
-    add_builtin<SilentStrategy>(*r, "silent");
-    add_builtin<CrashStrategy>(*r, "crash");
-    add_builtin<EquivocateStrategy>(*r, "equivocate");
-    add_builtin<DelayStrategy>(*r, "delay");
-    add_builtin<MutateStrategy>(*r, "mutate");
-    add_builtin<ScheduledEquivocateStrategy>(*r, "equivocate-scheduled");
-    add_builtin<AdaptiveStrategy>(*r, "adaptive");
-    add_builtin<ColludeEquivocateStrategy>(*r, "collude-equivocate");
-    add_builtin<ColludeWithholdStrategy>(*r, "collude-withhold");
-    add_builtin<ForgeQcStrategy>(*r, "forge-qc");
+    r->add<SilentStrategy>("silent");
+    r->add<CrashStrategy>("crash");
+    r->add<EquivocateStrategy>("equivocate");
+    r->add<DelayStrategy>("delay");
+    r->add<MutateStrategy>("mutate");
+    r->add<ScheduledEquivocateStrategy>("equivocate-scheduled");
+    r->add<AdaptiveStrategy>("adaptive");
+    r->add<ColludeEquivocateStrategy>("collude-equivocate");
+    r->add<ColludeWithholdStrategy>("collude-withhold");
+    r->add<ForgeQcStrategy>("forge-qc");
     return r;
   }();
   return *registry;
-}
-
-void StrategyRegistry::add(const std::string& name, Factory factory) {
-  if (name.empty()) {
-    throw std::invalid_argument("StrategyRegistry: empty strategy name");
-  }
-  if (!factory) {
-    throw std::invalid_argument("StrategyRegistry: null factory for '" +
-                                name + "'");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!factories_.emplace(name, std::move(factory)).second) {
-    throw std::invalid_argument("StrategyRegistry: '" + name +
-                                "' is already registered");
-  }
-}
-
-bool StrategyRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.count(name) != 0;
-}
-
-std::unique_ptr<Strategy> StrategyRegistry::make(
-    const std::string& name) const {
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = factories_.find(name);
-    if (it != factories_.end()) factory = it->second;
-  }
-  if (!factory) {
-    std::string known;
-    for (const std::string& n : names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw std::invalid_argument("unknown adversary strategy '" + name +
-                                "' (registered: " + known + ")");
-  }
-  return factory();
-}
-
-std::vector<std::string> StrategyRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;  // std::map iteration is already sorted
 }
 
 }  // namespace valcon::harness

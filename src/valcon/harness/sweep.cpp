@@ -7,6 +7,7 @@
 #include <exception>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -14,7 +15,6 @@
 #include "valcon/core/lambda.hpp"
 #include "valcon/harness/net_profile.hpp"
 #include "valcon/harness/pattern.hpp"
-#include "valcon/harness/strategy.hpp"
 #include "valcon/harness/table.hpp"
 
 namespace valcon::harness {
@@ -29,35 +29,41 @@ std::string FaultSpec::label(int t) const {
 
 namespace {
 
-/// Shared by keep_patterns / keep_network_profiles: filters `axis` down to
-/// the values named in `keep`, failing loudly for a requested name that
-/// selects nothing (nothing requested may be dropped silently).
-std::vector<std::string> filter_axis(const std::vector<std::string>& axis,
-                                     const std::vector<std::string>& keep,
-                                     const std::string& what) {
-  if (keep.empty()) {
-    // An empty keep-list would empty the axis and shrink the matrix to
-    // zero cells — a sweep that runs nothing and exits green. A filter
-    // that selects nothing is a caller mistake, not a request.
-    throw std::invalid_argument("empty " + what + " filter");
+/// ScenarioMatrix::keep on one dimension: keeps the values whose token is
+/// named, failing loudly for a name that selects none of them.
+template <typename T, typename TokenOf>
+void keep_named(std::vector<T>& values, const std::vector<std::string>& names,
+                const AxisSpec& axis, TokenOf token_of) {
+  std::vector<T> kept;
+  std::set<std::string> matched;
+  for (const T& value : values) {
+    const std::string token = token_of(value);
+    if (std::find(names.begin(), names.end(), token) == names.end()) continue;
+    kept.push_back(value);
+    matched.insert(token);
   }
-  std::vector<std::string> kept;
-  for (const std::string& value : axis) {
-    if (std::find(keep.begin(), keep.end(), value) != keep.end()) {
-      kept.push_back(value);
-    }
-  }
-  for (const std::string& name : keep) {
-    if (std::find(kept.begin(), kept.end(), name) == kept.end()) {
-      throw std::invalid_argument(what + " '" + name +
-                                  "' matches no " + what +
+  for (const std::string& name : names) {
+    if (matched.count(name) == 0) {
+      throw std::invalid_argument(std::string(axis.name) + " '" + name +
+                                  "' matches no " + axis.name +
                                   " dimension value of this matrix");
     }
   }
-  return kept;
+  values = std::move(kept);
 }
 
 }  // namespace
+
+std::array<std::vector<std::string>, kAxisCount>
+ScenarioMatrix::default_tokens() {
+  std::array<std::vector<std::string>, kAxisCount> tokens;
+  for (const AxisSpec& axis : kAxes) {
+    if (axis.id != Axis::kStrategy) {
+      tokens[axis_index(axis.id)] = {axis.default_token};
+    }
+  }
+  return tokens;
+}
 
 ScenarioMatrix& ScenarioMatrix::vc_kinds(std::vector<VcKind> v) {
   vcs_ = std::move(v);
@@ -68,56 +74,10 @@ ScenarioMatrix& ScenarioMatrix::validities(std::vector<ValidityKind> v) {
   return *this;
 }
 ScenarioMatrix& ScenarioMatrix::patterns(std::vector<std::string> names) {
-  patterns_ = std::move(names);
-  return *this;
-}
-ScenarioMatrix& ScenarioMatrix::keep_patterns(
-    const std::vector<std::string>& keep) {
-  for (const std::string& name : keep) {
-    if (!PatternRegistry::global().contains(name)) {
-      // make() throws with the list of registered names.
-      static_cast<void>(PatternRegistry::global().make(name));
-    }
-  }
-  patterns_ = filter_axis(patterns_, keep, "pattern");
-  return *this;
+  return values(Axis::kPattern, std::move(names));
 }
 ScenarioMatrix& ScenarioMatrix::faults(std::vector<FaultSpec> v) {
   faults_ = std::move(v);
-  return *this;
-}
-ScenarioMatrix& ScenarioMatrix::keep_strategies(
-    const std::vector<std::string>& keep) {
-  if (keep.empty()) {
-    throw std::invalid_argument("empty strategy filter");
-  }
-  for (const std::string& name : keep) {
-    if (name != "none" && !StrategyRegistry::global().contains(name)) {
-      // make() throws with the list of registered names.
-      static_cast<void>(StrategyRegistry::global().make(name));
-    }
-  }
-  std::vector<FaultSpec> kept;
-  for (const FaultSpec& spec : faults_) {
-    if (std::find(keep.begin(), keep.end(), spec.effective_strategy()) !=
-        keep.end()) {
-      kept.push_back(spec);
-    }
-  }
-  // Every requested name must select at least one spec: a registered
-  // strategy absent from this matrix would otherwise be dropped silently
-  // and the caller would believe it was swept.
-  for (const std::string& name : keep) {
-    const bool matched =
-        std::any_of(kept.begin(), kept.end(), [&name](const FaultSpec& spec) {
-          return spec.effective_strategy() == name;
-        });
-    if (!matched) {
-      throw std::invalid_argument("strategy '" + name +
-                                  "' matches no fault spec in this matrix");
-    }
-  }
-  faults_ = std::move(kept);
   return *this;
 }
 ScenarioMatrix& ScenarioMatrix::sizes(std::vector<std::pair<int, int>> nt) {
@@ -126,64 +86,55 @@ ScenarioMatrix& ScenarioMatrix::sizes(std::vector<std::pair<int, int>> nt) {
 }
 ScenarioMatrix& ScenarioMatrix::network_profiles(
     std::vector<std::string> names) {
-  net_profiles_ = std::move(names);
-  return *this;
+  return values(Axis::kNetProfile, std::move(names));
 }
-ScenarioMatrix& ScenarioMatrix::keep_network_profiles(
-    const std::vector<std::string>& keep) {
-  for (const std::string& name : keep) {
-    // Throws for unknown names, listing what exists.
-    static_cast<void>(named_network_profile(name));
+ScenarioMatrix& ScenarioMatrix::cert_modes(
+    const std::vector<core::CertMode>& modes) {
+  std::vector<std::string> tokens;
+  for (const core::CertMode mode : modes) {
+    tokens.push_back(core::cert_mode_token(mode));
   }
-  net_profiles_ = filter_axis(net_profiles_, keep, "network profile");
-  return *this;
-}
-ScenarioMatrix& ScenarioMatrix::cert_modes(std::vector<core::CertMode> modes) {
-  cert_modes_ = std::move(modes);
-  return *this;
-}
-ScenarioMatrix& ScenarioMatrix::keep_cert_modes(
-    const std::vector<std::string>& keep) {
-  if (keep.empty()) {
-    throw std::invalid_argument("empty cert-mode filter");
-  }
-  std::vector<core::CertMode> wanted;
-  for (const std::string& name : keep) {
-    const auto mode = core::cert_mode_from_token(name);
-    if (!mode.has_value()) {
-      throw std::invalid_argument("unknown cert mode '" + name +
-                                  "' (expected: per-vote, aggregate)");
-    }
-    wanted.push_back(*mode);
-  }
-  std::vector<core::CertMode> kept;
-  for (const core::CertMode mode : cert_modes_) {
-    if (std::find(wanted.begin(), wanted.end(), mode) != wanted.end()) {
-      kept.push_back(mode);
-    }
-  }
-  for (const core::CertMode mode : wanted) {
-    if (std::find(kept.begin(), kept.end(), mode) == kept.end()) {
-      throw std::invalid_argument(
-          "cert mode '" + core::cert_mode_token(mode) +
-          "' matches no cert-mode dimension value of this matrix");
-    }
-  }
-  cert_modes_ = std::move(kept);
-  return *this;
+  return values(Axis::kCertMode, std::move(tokens));
 }
 ScenarioMatrix& ScenarioMatrix::topologies(std::vector<std::string> names) {
-  topologies_ = std::move(names);
+  return values(Axis::kTopology, std::move(names));
+}
+ScenarioMatrix& ScenarioMatrix::values(Axis axis,
+                                       std::vector<std::string> tokens) {
+  if (axis == Axis::kStrategy) {
+    throw std::invalid_argument("the strategy axis is set through faults()");
+  }
+  tokens_[axis_index(axis)] = std::move(tokens);
+  retag(axis);
   return *this;
 }
-ScenarioMatrix& ScenarioMatrix::keep_topologies(
-    const std::vector<std::string>& keep) {
-  for (const std::string& name : keep) {
-    // Throws for unknown names, listing the known forms.
-    static_cast<void>(named_topology(name));
+ScenarioMatrix& ScenarioMatrix::keep(Axis axis,
+                                     const std::vector<std::string>& names) {
+  const AxisSpec& spec = axis_spec(axis);
+  if (names.empty()) {
+    // An empty keep-list would empty the axis and shrink the matrix to
+    // zero cells — a sweep that runs nothing and exits green. A filter
+    // that selects nothing is a caller mistake, not a request.
+    throw std::invalid_argument(std::string("empty ") + spec.name +
+                                " filter");
   }
-  topologies_ = filter_axis(topologies_, keep, "topology");
+  for (const std::string& name : names) spec.check(name);
+  if (axis == Axis::kStrategy) {
+    keep_named(faults_, names, spec,
+               [](const FaultSpec& f) { return f.effective_strategy(); });
+  } else {
+    keep_named(tokens_[axis_index(axis)], names, spec,
+               [](const std::string& token) { return token; });
+    retag(axis);
+  }
   return *this;
+}
+void ScenarioMatrix::retag(Axis axis) {
+  const AxisSpec& spec = axis_spec(axis);
+  const std::vector<std::string>& declared = tokens_[axis_index(axis)];
+  tagged_[axis_index(axis)] =
+      spec.label_key != nullptr &&
+      !(declared.size() == 1 && declared[0] == spec.default_token);
 }
 ScenarioMatrix& ScenarioMatrix::gsts(std::vector<Time> v) {
   gsts_ = std::move(v);
@@ -218,10 +169,15 @@ ScenarioMatrix& ScenarioMatrix::horizon(Time cap) {
 }
 
 std::size_t ScenarioMatrix::size() const {
-  return vcs_.size() * validities_.size() * patterns_.size() *
-         faults_.size() * sizes_.size() * net_profiles_.size() *
-         gsts_.size() * deltas_.size() * seeds_.size() * cert_modes_.size() *
-         topologies_.size();
+  std::size_t cells = vcs_.size() * validities_.size() * faults_.size() *
+                      sizes_.size() * gsts_.size() * deltas_.size() *
+                      seeds_.size();
+  for (const AxisSpec& axis : kAxes) {
+    if (axis.id != Axis::kStrategy) {
+      cells *= tokens_[axis_index(axis.id)].size();
+    }
+  }
+  return cells;
 }
 
 void ScenarioMatrix::check_dimensions() const {
@@ -266,26 +222,39 @@ SweepPoint ScenarioMatrix::point_at(std::size_t index) const {
   // the dimension nesting is vc > validity > pattern > fault > size >
   // net-profile > gst > delta > seed > cert-mode > topology, so the
   // topology digit is peeled first. This is the one source of truth for
-  // the index ↔ cell mapping; build() just replays it. (The four new axes
-  // decode as radix-1 digits on legacy matrices, so their indices — and
-  // bytes — are untouched.)
+  // the index ↔ cell mapping; build() just replays it. (The four token
+  // axes decode as radix-1 digits on legacy matrices, so their indices —
+  // and bytes — are untouched.)
   std::size_t rem = index;
   const auto digit = [&rem](std::size_t radix) {
     const std::size_t d = rem % radix;
     rem /= radix;
     return d;
   };
-  const std::string& topology_name = topologies_[digit(topologies_.size())];
-  const core::CertMode cert_mode = cert_modes_[digit(cert_modes_.size())];
+  // The cell's token on each token axis, for the wire tags below.
+  std::array<const std::string*, kAxisCount> chosen{};
+  const auto pick = [&](Axis axis) -> const std::string& {
+    const std::vector<std::string>& values = tokens_[axis_index(axis)];
+    const std::string& token = values[digit(values.size())];
+    chosen[axis_index(axis)] = &token;
+    return token;
+  };
+  const std::string& topology_name = pick(Axis::kTopology);
+  const std::string& cert_token = pick(Axis::kCertMode);
   const std::uint64_t seed = seeds_[digit(seeds_.size())];
   const Time delta = deltas_[digit(deltas_.size())];
   const Time gst = gsts_[digit(gsts_.size())];
-  const std::string& profile_name = net_profiles_[digit(net_profiles_.size())];
+  const std::string& profile_name = pick(Axis::kNetProfile);
   const auto [n, t] = sizes_[digit(sizes_.size())];
   const FaultSpec& spec = faults_[digit(faults_.size())];
-  const std::string& pattern_name = patterns_[digit(patterns_.size())];
+  const std::string& pattern_name = pick(Axis::kPattern);
   const ValidityKind validity = validities_[digit(validities_.size())];
   const VcKind vc = vcs_[rem];
+  const std::optional<core::CertMode> cert_mode =
+      core::cert_mode_from_token(cert_token);
+  if (!cert_mode.has_value()) {
+    axis_spec(Axis::kCertMode).check(cert_token);  // throws, naming both
+  }
 
   ScenarioConfig cfg;
   cfg.n = n;
@@ -295,7 +264,7 @@ SweepPoint ScenarioMatrix::point_at(std::size_t index) const {
   cfg.seed = seed;
   cfg.vc = vc;
   cfg.horizon = horizon_;
-  cfg.cert_mode = cert_mode;
+  cfg.cert_mode = *cert_mode;
   cfg.topology = named_topology(topology_name);
   cfg.net_profile = named_network_profile(profile_name);
   const PatternEnv penv{n, t, seed, domain_, validity};
@@ -342,26 +311,16 @@ SweepPoint ScenarioMatrix::point_at(std::size_t index) const {
                 " fault=" + spec.label(t) + " n=" + std::to_string(n) +
                 " t=" + std::to_string(t) + " gst=" + fmt(gst) +
                 " delta=" + fmt(delta) + " seed=" + std::to_string(seed);
-  // The new axes surface in labels and the wire format only when the
-  // matrix declares them non-trivially; a legacy matrix (both axes pinned
-  // to their single default) keeps the legacy bytes — the pinned "full"
-  // document depends on this.
-  if (!(patterns_.size() == 1 && patterns_[0] == "rotating")) {
-    point.pattern_tag = pattern_name;
-    point.label += " pat=" + pattern_name;
-  }
-  if (!(net_profiles_.size() == 1 && net_profiles_[0] == "uniform")) {
-    point.net_profile_tag = profile_name;
-    point.label += " net=" + profile_name;
-  }
-  if (!(cert_modes_.size() == 1 &&
-        cert_modes_[0] == core::CertMode::kPerVote)) {
-    point.cert_tag = core::cert_mode_token(cert_mode);
-    point.label += " cert=" + point.cert_tag;
-  }
-  if (!(topologies_.size() == 1 && topologies_[0] == "full-mesh")) {
-    point.topology_tag = topology_name;
-    point.label += " topo=" + topology_name;
+  // A token axis surfaces in labels and the wire format only when the
+  // matrix declares it non-trivially; a legacy matrix (every token axis
+  // pinned to its single default) keeps the legacy bytes — the pinned
+  // "full" document depends on this.
+  for (const AxisSpec& axis : kAxes) {
+    const std::size_t i = axis_index(axis.id);
+    if (!tagged_[i]) continue;
+    point.tags[i] = *chosen[i];
+    point.label.append(" ").append(axis.label_key).append("=").append(
+        point.tags[i]);
   }
   point.near_miss = near_miss_;
   return point;

@@ -7,6 +7,7 @@
 // time. Used by the valcon_sweep CLI, bench_sweep and the tests.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "valcon/core/execution_checker.hpp"
 #include "valcon/core/quorum.hpp"
 #include "valcon/core/validity.hpp"
+#include "valcon/harness/axis.hpp"
 #include "valcon/harness/scenario.hpp"
 #include "valcon/harness/validity_kind.hpp"
 
@@ -58,25 +60,19 @@ struct SweepPoint {
   ValidityKind validity = ValidityKind::kStrong;
   /// Name of the proposal pattern that filled config.proposals (the
   /// network-profile name lives in config.net_profile.name).
-  std::string pattern = "rotating";
+  std::string pattern = axis_spec(Axis::kPattern).default_token;
   std::string label;
-  /// Wire-format tags: equal to the pattern / network-profile name when
-  /// the matrix declares the corresponding axis non-trivially (anything
-  /// but the single default value), empty otherwise. Labels and outcome
-  /// lines carry the new fields only when the tag is set — which is what
+  /// Wire-format tags, indexed by axis_index(): the cell's token on every
+  /// axis the matrix declares non-trivially (anything but the single
+  /// default value, see harness/axis.hpp), empty otherwise. Labels and
+  /// outcome lines carry an axis only when its tag is set — which is what
   /// keeps the pinned legacy matrices ("full") byte-identical.
-  std::string pattern_tag;
-  std::string net_profile_tag;
-  /// Certificate-backend tag, same wire gate: the cert_mode token when the
-  /// matrix declares the cert axis non-trivially (anything but the single
-  /// per-vote default), empty otherwise.
-  std::string cert_tag;
-  /// Topology tag, same wire gate: the topology name when the matrix
-  /// declares the topology axis non-trivially (anything but the single
-  /// full-mesh default), empty otherwise.
-  std::string topology_tag;
-  /// Wire-format gate for the near-miss axis (same convention as the tags
-  /// above): true only when the matrix opted in via record_near_miss(), so
+  std::array<std::string, kAxisCount> tags;
+  [[nodiscard]] const std::string& tag(Axis axis) const {
+    return tags[axis_index(axis)];
+  }
+  /// Wire-format gate for the near-miss fields (same convention as the
+  /// tags above): true only when the matrix opted in via record_near_miss(), so
   /// legacy outcome lines never grow the new fields.
   bool near_miss = false;
 };
@@ -90,41 +86,32 @@ class ScenarioMatrix {
   /// Proposal-pattern names (PatternRegistry); default {"rotating"}, the
   /// historical (p + seed) % domain assignment.
   ScenarioMatrix& patterns(std::vector<std::string> names);
-  /// Keeps only the named proposal patterns. Throws std::invalid_argument
-  /// for an empty keep-list, for an unregistered name and for a name that
-  /// selects no pattern of this matrix (nothing requested may be dropped
-  /// silently) — this is what `valcon_sweep --patterns` calls.
-  ScenarioMatrix& keep_patterns(const std::vector<std::string>& keep);
   ScenarioMatrix& faults(std::vector<FaultSpec> v);
-  /// Keeps only the fault specs whose effective strategy name is in `keep`
-  /// ("none" selects the fault-free spec). Throws std::invalid_argument for
-  /// an empty keep-list, for a name that is neither "none" nor registered,
-  /// and for a name that selects no spec of this matrix (nothing requested
-  /// may be dropped silently) — this is what `valcon_sweep --strategies`
-  /// calls.
-  ScenarioMatrix& keep_strategies(const std::vector<std::string>& keep);
   /// (n, t) pairs; every pair must satisfy 0 <= t < n.
   ScenarioMatrix& sizes(std::vector<std::pair<int, int>> nt);
   /// Network-profile names (named_network_profile()); default
   /// {"uniform"}, the legacy stock network.
   ScenarioMatrix& network_profiles(std::vector<std::string> names);
-  /// Keeps only the named network profiles, with the same loud-failure
-  /// contract as keep_patterns — this is what `valcon_sweep
-  /// --net-profiles` calls.
-  ScenarioMatrix& keep_network_profiles(const std::vector<std::string>& keep);
   /// Certificate backends (ScenarioConfig::cert_mode); default
   /// {kPerVote}, the legacy one-verify-per-vote wire format.
-  ScenarioMatrix& cert_modes(std::vector<core::CertMode> modes);
-  /// Keeps only the named certificate backends ("per-vote" / "aggregate"),
-  /// with the same loud-failure contract as keep_patterns — this is what
-  /// `valcon_sweep --cert-modes` calls.
-  ScenarioMatrix& keep_cert_modes(const std::vector<std::string>& keep);
+  ScenarioMatrix& cert_modes(const std::vector<core::CertMode>& modes);
   /// Topology names (named_topology(): "full-mesh" / "committee-<k>");
   /// default {"full-mesh"}, the legacy everyone-runs-the-stack shape.
   ScenarioMatrix& topologies(std::vector<std::string> names);
-  /// Keeps only the named topologies, with the same loud-failure contract
-  /// as keep_patterns — this is what `valcon_sweep --topologies` calls.
-  ScenarioMatrix& keep_topologies(const std::vector<std::string>& keep);
+  /// The values of a token axis (pattern, network profile, cert mode or
+  /// topology) by token; the four setters above forward here. Tokens are
+  /// resolved per cell by point_at(), not here. Throws
+  /// std::invalid_argument for Axis::kStrategy (set faults() instead: a
+  /// fault spec carries more than its strategy name).
+  ScenarioMatrix& values(Axis axis, std::vector<std::string> tokens);
+  /// Keeps only the values of `axis` named in `names` — on the strategy
+  /// axis, the fault specs whose effective strategy is named ("none"
+  /// selects the fault-free spec). Throws std::invalid_argument for an
+  /// empty list, for a name the axis does not know (AxisSpec::check) and
+  /// for a name that selects no value of this matrix (nothing requested
+  /// may be dropped silently) — this is what every valcon_sweep filter
+  /// flag calls.
+  ScenarioMatrix& keep(Axis axis, const std::vector<std::string>& names);
   ScenarioMatrix& gsts(std::vector<Time> v);
   ScenarioMatrix& deltas(std::vector<Time> v);
   ScenarioMatrix& seeds(std::vector<std::uint64_t> v);
@@ -170,12 +157,19 @@ class ScenarioMatrix {
   void check_dimensions() const;
   std::vector<VcKind> vcs_{VcKind::kAuthenticated};
   std::vector<ValidityKind> validities_{ValidityKind::kStrong};
-  std::vector<std::string> patterns_{"rotating"};
   std::vector<FaultSpec> faults_{FaultSpec{}};
   std::vector<std::pair<int, int>> sizes_{{4, 1}};
-  std::vector<std::string> net_profiles_{"uniform"};
-  std::vector<core::CertMode> cert_modes_{core::CertMode::kPerVote};
-  std::vector<std::string> topologies_{"full-mesh"};
+  /// The token axes' values, indexed by axis_index(); each starts at its
+  /// AxisSpec::default_token. The strategy slot stays empty: that axis
+  /// lives in faults_.
+  std::array<std::vector<std::string>, kAxisCount> tokens_ = default_tokens();
+  [[nodiscard]] static std::array<std::vector<std::string>, kAxisCount>
+  default_tokens();
+  /// Per axis: whether cells carry its wire tag, i.e. the matrix declares
+  /// it non-trivially (anything but its single default). retag() keeps it
+  /// in step with tokens_, so point_at() compares no tokens per cell.
+  std::array<bool, kAxisCount> tagged_{};
+  void retag(Axis axis);
   std::vector<Time> gsts_{0.0};
   std::vector<Time> deltas_{1.0};
   std::vector<std::uint64_t> seeds_{1};

@@ -13,6 +13,7 @@
 // doubles shard-by-shard would drift in the last ulp.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -40,6 +41,18 @@ namespace valcon::harness::io {
 /// --stop-after (std::atoi silently turned "abc" and "-3" into defaults).
 [[nodiscard]] std::optional<int> parse_int(const std::string& s,
                                            int min_value);
+
+/// Key-scan field readers over the machine-written single-line JSON this
+/// unit (and the search's cell format) emits: the value following
+/// `"key": ` in `text`, or nullopt when the key is absent or the value
+/// does not parse. string_field() unescapes json_escape() output. The
+/// first occurrence wins; the writers never repeat a key.
+[[nodiscard]] std::optional<double> number_field(const std::string& text,
+                                                 const std::string& key);
+[[nodiscard]] std::optional<bool> bool_field(const std::string& text,
+                                             const std::string& key);
+[[nodiscard]] std::optional<std::string> string_field(const std::string& text,
+                                                      const std::string& key);
 
 /// Splits "a, b,c" into {"a","b","c"} (whitespace-trimmed, empties
 /// dropped). Shared so the checkpoint's strategy identity is canonical.
@@ -153,15 +166,18 @@ void merge_documents(std::ostream& os, std::vector<ShardDocument> docs);
 /// `<checkpoint>.scenarios`, one line each, in index order.
 struct Checkpoint {
   std::string matrix;
-  std::string strategies;  // canonical comma-join of the --strategies list
-  /// Canonical comma-joins of the --patterns / --net-profiles /
-  /// --cert-modes / --topologies filters. Absent from checkpoint files
-  /// predating the corresponding axis; parse() defaults each to "" (no
-  /// filter), so old checkpoints keep resuming.
-  std::string patterns;
-  std::string net_profiles;
-  std::string cert_modes;
-  std::string topologies;
+  /// Canonical comma-joins of the axis filters (--strategies, --patterns,
+  /// ...), indexed by axis_index(); "" = no filter. Each is written under
+  /// its AxisSpec::checkpoint_field. parse() reads a field absent from a
+  /// checkpoint predating its axis as "", so old checkpoints keep
+  /// resuming.
+  std::array<std::string, kAxisCount> filters;
+  [[nodiscard]] std::string& filter(Axis axis) {
+    return filters[axis_index(axis)];
+  }
+  [[nodiscard]] const std::string& filter(Axis axis) const {
+    return filters[axis_index(axis)];
+  }
   ShardSpec shard;
   std::size_t total = 0;
   std::size_t begin = 0;

@@ -12,18 +12,16 @@
 // faulty senders — the network is reliable between correct processes), and
 // a custom delay policy hook.
 //
-// The per-link state is hybrid: below kDenseThreshold the tables are dense
-// n x n arrays (branch-and-index on the hot path, exactly as before), above
-// it they are hash maps keyed by the same row-major link index so memory is
-// O(active links) instead of O(n^2) at n in the thousands. Either way the
-// arrays/maps are allocated lazily on the first hold()/block() — a clean
-// run (no adversary) pays zero bytes and skips the lookup entirely via the
+// The per-link state is a pair of hash tables keyed by the row-major link
+// index, so memory is O(active links), not O(n^2), at n in the thousands.
+// They fill lazily on the first hold()/block() — a clean run (no
+// adversary) pays zero bytes and skips the lookup entirely via the
 // any_holds_/any_blocks_ flags. An absent entry means "no hold" (kNoHold,
-// -infinity) / "not blocked", so the two backends are observably identical;
-// tests force Storage::kSparse at small n and compare verbatim against
-// dense. arrival_time assumes in-range ids (its only caller,
-// Simulator::do_send, validates the destination and owns the source);
-// installing a hold or block validates the ids.
+// -infinity) / "not blocked". One store serves every n: at small n it
+// measured as fast as dense n x n arrays (docs/performance.md).
+// arrival_time assumes in-range ids (its only caller, Simulator::do_send,
+// validates the destination and owns the source); installing a hold or
+// block validates the ids.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +33,6 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
-#include <vector>
 
 #include "valcon/common.hpp"
 #include "valcon/sim/rng.hpp"
@@ -55,27 +52,9 @@ struct NetworkConfig {
 
 class Network {
  public:
-  /// Link-table backend. kAuto picks dense arrays at n <= kDenseThreshold
-  /// and sparse hash storage above; the explicit values exist so property
-  /// tests can run the sparse structure at small n in lockstep against the
-  /// dense one. Both are lazy: nothing is allocated until the first
-  /// hold()/block().
-  enum class Storage { kAuto, kDense, kSparse };
-
-  /// Largest n for which kAuto keeps the dense n x n tables. 64 x 64 links
-  /// is 40 KiB of hold floors — cheap; past that the quadratic tables
-  /// dominate a run's footprint while sweeps rarely touch more than a few
-  /// hundred links.
-  static constexpr int kDenseThreshold = 64;
-
   /// `n` fixes the process-id space [0, n) the per-link tables cover.
-  Network(NetworkConfig config, int n, std::uint64_t seed,
-          Storage storage = Storage::kAuto)
-      : config_(config),
-        n_(n),
-        rng_(seed),
-        dense_(storage == Storage::kDense ||
-               (storage == Storage::kAuto && n <= kDenseThreshold)) {}
+  Network(NetworkConfig config, int n, std::uint64_t seed)
+      : config_(config), n_(n), rng_(seed) {}
 
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
@@ -84,17 +63,7 @@ class Network {
   /// hold on the same link overwrites the earlier one. Throws
   /// std::out_of_range for ids outside [0, n).
   void hold(ProcessId from, ProcessId to, Time until) {
-    const std::size_t idx = link(from, to);
-    if (dense_) {
-      if (holds_.empty()) {
-        holds_.assign(
-            static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_),
-            kNoHold);
-      }
-      holds_[idx] = until;
-    } else {
-      sparse_holds_[idx] = until;
-    }
+    holds_[link(from, to)] = until;
     any_holds_ = true;
   }
 
@@ -113,16 +82,7 @@ class Network {
   /// is faulty (the caller asserts that; the network is reliable between
   /// correct processes). Throws std::out_of_range for ids outside [0, n).
   void block(ProcessId from, ProcessId to) {
-    const std::size_t idx = link(from, to);
-    if (dense_) {
-      if (blocked_.empty()) {
-        blocked_.assign(
-            static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), 0);
-      }
-      blocked_[idx] = 1;
-    } else {
-      sparse_blocked_.insert(idx);
-    }
+    blocked_.insert(link(from, to));
     any_blocks_ = true;
   }
 
@@ -142,7 +102,7 @@ class Network {
                             static_cast<std::size_t>(to);
     // The blocked check must stay ahead of any Rng consumption: a dropped
     // message draws no randomness, and the pinned sweeps depend on that.
-    if (any_blocks_ && is_blocked(idx)) return std::nullopt;
+    if (any_blocks_ && blocked_.count(idx) != 0) return std::nullopt;
     const Time lower = send_time + config_.min_delay;
     const Time upper = model_bound(send_time);
 
@@ -175,34 +135,21 @@ class Network {
     return std::max(send_time, config_.gst) + config_.delta;
   }
 
-  /// True when this instance uses the dense n x n tables (kAuto resolved at
-  /// construction). Exposed for the hybrid-equivalence tests.
-  [[nodiscard]] bool dense_storage() const { return dense_; }
-
   /// Bytes held by the link tables right now — 0 until the first
-  /// hold()/block(), O(active links) in sparse mode. Approximate for the
-  /// hash backend (buckets are not counted); used by tests and benches to
-  /// pin the lazy/sparse behavior, not for accounting.
+  /// hold()/block(), then O(active links). Approximate (hash buckets are
+  /// not counted); used by tests and benches to pin the lazy behavior, not
+  /// for accounting.
   [[nodiscard]] std::size_t link_table_bytes() const {
-    std::size_t bytes = holds_.capacity() * sizeof(Time) +
-                        blocked_.capacity() * sizeof(std::uint8_t);
-    bytes += sparse_holds_.size() * (sizeof(std::size_t) + sizeof(Time));
-    bytes += sparse_blocked_.size() * sizeof(std::size_t);
-    return bytes;
+    return holds_.size() * (sizeof(std::size_t) + sizeof(Time)) +
+           blocked_.size() * sizeof(std::size_t);
   }
 
  private:
   static constexpr Time kNoHold = -std::numeric_limits<Time>::infinity();
 
-  [[nodiscard]] bool is_blocked(std::size_t idx) const {
-    if (dense_) return blocked_[idx] != 0;
-    return sparse_blocked_.count(idx) != 0;
-  }
-
   [[nodiscard]] Time hold_floor(std::size_t idx) const {
-    if (dense_) return holds_[idx];
-    const auto it = sparse_holds_.find(idx);
-    return it == sparse_holds_.end() ? kNoHold : it->second;
+    const auto it = holds_.find(idx);
+    return it == holds_.end() ? kNoHold : it->second;
   }
 
   /// Row-major (from, to) index with validation — the mutation surface
@@ -220,15 +167,12 @@ class Network {
   NetworkConfig config_;
   int n_;
   Rng rng_;
-  bool dense_;
   bool any_holds_ = false;   // false => no hold lookup at all
   bool any_blocks_ = false;  // false => no blocked lookup at all
-  std::vector<Time> holds_;            // dense backend, lazily sized n x n
-  std::vector<std::uint8_t> blocked_;  // dense backend, lazily sized n x n
-  // Sparse backend: keyed by the same row-major link index. Lookup-only on
-  // the hot path (never iterated), so unordered storage stays deterministic.
-  std::unordered_map<std::size_t, Time> sparse_holds_;
-  std::unordered_set<std::size_t> sparse_blocked_;
+  // Keyed by the row-major link index. Lookup-only on the hot path (never
+  // iterated), so unordered storage stays deterministic.
+  std::unordered_map<std::size_t, Time> holds_;
+  std::unordered_set<std::size_t> blocked_;
   DelayPolicy policy_;
 };
 

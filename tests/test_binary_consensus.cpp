@@ -103,7 +103,9 @@ TEST(BinaryConsensus, MixedInputsAgreeOnAProposedValue) {
   ASSERT_EQ(decisions.size(), 4u);
   std::optional<bool> seen;
   for (const auto& [p, v] : decisions) {
-    if (seen.has_value()) EXPECT_EQ(v, *seen);
+    if (seen.has_value()) {
+      EXPECT_EQ(v, *seen);
+    }
     seen = v;
   }
 }
@@ -135,7 +137,9 @@ TEST(BinaryConsensus, LateProposalsStillTerminate) {
   ASSERT_EQ(decisions.size(), 4u);
   std::optional<bool> seen;
   for (const auto& [p, v] : decisions) {
-    if (seen.has_value()) EXPECT_EQ(v, *seen);
+    if (seen.has_value()) {
+      EXPECT_EQ(v, *seen);
+    }
     seen = v;
   }
 }
@@ -163,7 +167,9 @@ TEST(BinaryConsensus, EquivocatingProcessCannotBreakAgreement) {
     ASSERT_EQ(decisions.size(), 3u) << "seed " << seed;
     std::optional<bool> seen;
     for (const auto& [p, v] : decisions) {
-      if (seen.has_value()) EXPECT_EQ(v, *seen) << "seed " << seed;
+      if (seen.has_value()) {
+        EXPECT_EQ(v, *seen) << "seed " << seed;
+      }
       seen = v;
     }
   }
@@ -185,7 +191,9 @@ TEST_P(BinarySweep, AgreementAndTermination) {
   ASSERT_EQ(decisions.size(), static_cast<std::size_t>(n - t));
   std::optional<bool> seen;
   for (const auto& [p, v] : decisions) {
-    if (seen.has_value()) EXPECT_EQ(v, *seen);
+    if (seen.has_value()) {
+      EXPECT_EQ(v, *seen);
+    }
     seen = v;
   }
 }

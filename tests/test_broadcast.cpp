@@ -109,7 +109,9 @@ TEST(Brb, EquivocatingSenderCannotSplitDeliveries) {
   delivered.erase(0);
   std::optional<Bytes> seen;
   for (const auto& [pid, m] : delivered) {
-    if (seen.has_value()) EXPECT_EQ(m, *seen) << "consistency violated";
+    if (seen.has_value()) {
+      EXPECT_EQ(m, *seen) << "consistency violated";
+    }
     seen = m;
   }
 }
@@ -173,7 +175,7 @@ class SlowHost final : public Mux {
   }
 
  protected:
-  void own_start(Context& ctx) override {
+  void own_start(Context& /*ctx*/) override {
     if (is_sender_) slow_->broadcast(child_context(0), Bytes{42});
   }
 

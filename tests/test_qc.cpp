@@ -281,7 +281,7 @@ harness::Candidate qc_candidate(harness::VcKind vc, CertMode mode,
   c.vc = vc;
   c.n = 4;
   c.t = 1;
-  c.cert = mode;
+  c.cert = core::cert_mode_token(mode);
   c.seed = 2;
   return c;
 }
@@ -309,7 +309,7 @@ TEST(AggregateEndToEnd, DecidesTheSameValuesAsPerVote) {
     auto per_vote = qc_candidate(vc, CertMode::kPerVote, "none");
     per_vote.pattern = "unanimous";
     auto agg = per_vote;
-    agg.cert = CertMode::kAggregate;
+    agg.cert = cert_mode_token(CertMode::kAggregate);
     const auto a = harness::evaluate(per_vote);
     const auto b = harness::evaluate(agg);
     EXPECT_EQ(harness::classify(a), harness::Verdict::kClean);

@@ -348,7 +348,7 @@ TEST(CustomStrategies, RegisterAndRunEndToEnd) {
 
 TEST(StrategyFilter, KeepsOnlyTheNamedStrategies) {
   const auto points = harness::named_matrix("byzantine")
-                          .keep_strategies({"crash", "none"})
+                          .keep(harness::Axis::kStrategy, {"crash", "none"})
                           .build();
   ASSERT_FALSE(points.empty());
   for (const auto& point : points) {
@@ -368,15 +368,14 @@ TEST(StrategyFilter, KeepsOnlyTheNamedStrategies) {
 TEST(StrategyFilter, RejectsUnknownNamesAndUnmatchedRequests) {
   // An empty filter would empty the fault dimension and shrink the matrix
   // to zero cells — a sweep that runs nothing and exits green.
-  EXPECT_THROW(harness::named_matrix("smoke").keep_strategies({}),
-               std::invalid_argument);
-  EXPECT_THROW(harness::named_matrix("smoke").keep_strategies({"bogus"}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      harness::named_matrix("smoke").keep_strategies({"equivocate-scheduled"}),
-      std::invalid_argument);  // registered, but not in the smoke matrix
+  const auto keep = [](const std::vector<std::string>& names) {
+    return harness::named_matrix("smoke").keep(harness::Axis::kStrategy,
+                                               names);
+  };
+  EXPECT_THROW(keep({}), std::invalid_argument);
+  EXPECT_THROW(keep({"bogus"}), std::invalid_argument);
+  // Registered, but not in the smoke matrix.
+  EXPECT_THROW(keep({"equivocate-scheduled"}), std::invalid_argument);
   // A partially-matching request must not silently drop the absent name.
-  EXPECT_THROW(
-      harness::named_matrix("smoke").keep_strategies({"crash", "mutate"}),
-      std::invalid_argument);
+  EXPECT_THROW(keep({"crash", "mutate"}), std::invalid_argument);
 }

@@ -171,7 +171,9 @@ TEST(OutcomeLine, AxisTagsSurfaceOnlyWhenTheMatrixDeclaresThem) {
   EXPECT_EQ(legacy_line.find("\"net_profile\""), std::string::npos);
 
   const SweepOutcome tagged = run_point(
-      named_matrix("validity").keep_patterns({"adversarial"}).point_at(0));
+      named_matrix("validity")
+          .keep(Axis::kPattern, {"adversarial"})
+          .point_at(0));
   const std::string tagged_line = io::outcome_line(tagged);
   EXPECT_NE(tagged_line.find("\"pattern\": \"adversarial\""),
             std::string::npos)
@@ -213,9 +215,9 @@ TEST(JsonSummary, AccumulatesMeansOverDecidedRunsOnly) {
 TEST(Checkpoint, JsonRoundTripAndWorkIdentity) {
   io::Checkpoint cp;
   cp.matrix = "full";
-  cp.strategies = "crash,equivocate";
-  cp.patterns = "adversarial,rotating";
-  cp.net_profiles = "pre-gst-starve";
+  cp.filter(Axis::kStrategy) = "crash,equivocate";
+  cp.filter(Axis::kPattern) = "adversarial,rotating";
+  cp.filter(Axis::kNetProfile) = "pre-gst-starve";
   cp.shard = {2, 5};
   cp.total = 720;
   cp.begin = 288;
@@ -228,13 +230,13 @@ TEST(Checkpoint, JsonRoundTripAndWorkIdentity) {
   EXPECT_EQ(back.sidecar_bytes, 4711u);
 
   io::Checkpoint other = cp;
-  other.strategies = "crash";
+  other.filter(Axis::kStrategy) = "crash";
   EXPECT_FALSE(other.same_work(cp));
   other = cp;
-  other.patterns = "rotating";
+  other.filter(Axis::kPattern) = "rotating";
   EXPECT_FALSE(other.same_work(cp));
   other = cp;
-  other.net_profiles = "";
+  other.filter(Axis::kNetProfile) = "";
   EXPECT_FALSE(other.same_work(cp));
   other = cp;
   other.shard.index = 3;
@@ -252,25 +254,6 @@ TEST(Checkpoint, JsonRoundTripAndWorkIdentity) {
   bad.next = 10;  // outside [begin, end]
   EXPECT_THROW(static_cast<void>(io::Checkpoint::parse(bad.to_json())),
                std::runtime_error);
-}
-
-TEST(Checkpoint, ParsesPrePatternAxisFilesAsUnfiltered) {
-  // A checkpoint written before the pattern / net-profile axes existed
-  // carries neither filter field; it must keep resuming as "no filter"
-  // rather than failing or mismatching its own work.
-  const std::string legacy =
-      "{\"matrix\": \"full\", \"strategies\": \"\", \"shard_index\": 0, "
-      "\"shard_count\": 1, \"total\": 720, \"begin\": 0, \"end\": 720, "
-      "\"next\": 100, \"sidecar_bytes\": 12345}\n";
-  const io::Checkpoint cp = io::Checkpoint::parse(legacy);
-  EXPECT_EQ(cp.patterns, "");
-  EXPECT_EQ(cp.net_profiles, "");
-  EXPECT_EQ(cp.next, 100u);
-  io::Checkpoint fresh;
-  fresh.matrix = "full";
-  fresh.total = 720;
-  fresh.end = 720;
-  EXPECT_TRUE(fresh.same_work(cp));
 }
 
 TEST(Checkpoint, AtomicWriteAndSidecarTornLineRecovery) {

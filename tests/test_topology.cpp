@@ -1,11 +1,11 @@
-// Tests for the large-n scaling layer: the hybrid dense/sparse Network
-// link tables (property-checked in lockstep, dense vs sparse, mirroring
-// test_hot_path's reference-network approach), lazy link-table and
-// key-registry allocation, the Topology axis (parsing, validation, wire
-// gating, checkpoint identity), committee scenarios end to end under both
-// cert modes (including announce forgery rejection at the crypto layer),
-// and the committee matrix's job-count independence down to the emitted
-// bytes.
+// Tests for the large-n scaling layer: the lazy hash-keyed Network link
+// tables (O(active links) memory, id validation; test_hot_path drives the
+// real Network in lockstep against a verbatim reference), lazy key-registry
+// allocation, the Topology axis (parsing, validation, wire gating,
+// checkpoint identity; the contract every axis shares is in test_axis),
+// committee scenarios end to end under both cert modes (including announce
+// forgery rejection at the crypto layer), and the committee matrix's
+// job-count independence down to the emitted bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,104 +27,36 @@ using namespace valcon::harness;
 
 namespace {
 
-// ------------------------------------------------------ hybrid link tables
-
-/// Drives a dense-backed and a sparse-backed Network through one identical
-/// seeded script of holds, blocks and arrival queries. Both consume their
-/// own Rng identically (same constructor seed, same query order), so any
-/// behavioral difference between the backends shows up as a mismatched
-/// arrival on some later query — the same lockstep shape
-/// test_hot_path.cpp uses against its reference implementation.
-void run_lockstep_script(int n, std::uint64_t seed) {
-  sim::NetworkConfig cfg;
-  cfg.gst = 5.0;
-  cfg.delta = 1.0;
-  sim::Network dense(cfg, n, seed, sim::Network::Storage::kDense);
-  sim::Network sparse(cfg, n, seed, sim::Network::Storage::kSparse);
-  ASSERT_TRUE(dense.dense_storage());
-  ASSERT_FALSE(sparse.dense_storage());
-
-  sim::Rng script(seed ^ 0xabcdef);
-  Time now = 0.0;
-  for (int step = 0; step < 2000; ++step) {
-    const auto from = static_cast<ProcessId>(script.next_below(n));
-    const auto to = static_cast<ProcessId>(script.next_below(n));
-    switch (script.next_below(8)) {
-      case 0: {  // install or overwrite a hold
-        const Time until = script.uniform(0.0, 20.0);
-        dense.hold(from, to, until);
-        sparse.hold(from, to, until);
-        break;
-      }
-      case 1:  // block (the test plays the adversary; no faulty check here)
-        dense.block(from, to);
-        sparse.block(from, to);
-        break;
-      default: {  // query — the common case, as on the real hot path
-        now += script.uniform(0.0, 0.5);
-        const std::optional<Time> a = dense.arrival_time(from, to, now);
-        const std::optional<Time> b = sparse.arrival_time(from, to, now);
-        ASSERT_EQ(a.has_value(), b.has_value())
-            << "drop divergence at step " << step;
-        if (a.has_value()) {
-          ASSERT_EQ(*a, *b) << "arrival divergence at step " << step;
-        }
-        break;
-      }
-    }
-  }
-}
-
-TEST(HybridNetwork, SparseMatchesDenseUnderSeededAdversaryScripts) {
-  for (const int n : {3, 8, 17}) {
-    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-      run_lockstep_script(n, seed);
-    }
-  }
-}
-
-TEST(HybridNetwork, AutoStorageSwitchesAtTheDocumentedThreshold) {
-  sim::NetworkConfig cfg;
-  const sim::Network at(cfg, sim::Network::kDenseThreshold, 1);
-  const sim::Network above(cfg, sim::Network::kDenseThreshold + 1, 1);
-  EXPECT_TRUE(at.dense_storage());
-  EXPECT_FALSE(above.dense_storage());
-}
+// -------------------------------------------------------- lazy link tables
 
 TEST(HybridNetwork, LinkTablesAllocateLazily) {
   sim::NetworkConfig cfg;
-  for (const auto storage :
-       {sim::Network::Storage::kDense, sim::Network::Storage::kSparse}) {
-    sim::Network net(cfg, 50, 3, storage);
-    EXPECT_EQ(net.link_table_bytes(), 0u);
-    // A clean run queries arrivals without ever touching the tables.
-    for (int i = 0; i < 100; ++i) {
-      static_cast<void>(net.arrival_time(i % 50, (i + 1) % 50, 0.1 * i));
-    }
-    EXPECT_EQ(net.link_table_bytes(), 0u);
-    net.hold(0, 1, 4.0);
-    EXPECT_GT(net.link_table_bytes(), 0u);
+  sim::Network net(cfg, 50, 3);
+  EXPECT_EQ(net.link_table_bytes(), 0u);
+  // A clean run queries arrivals without ever touching the tables.
+  for (int i = 0; i < 100; ++i) {
+    static_cast<void>(net.arrival_time(i % 50, (i + 1) % 50, 0.1 * i));
   }
+  EXPECT_EQ(net.link_table_bytes(), 0u);
+  net.hold(0, 1, 4.0);
+  EXPECT_GT(net.link_table_bytes(), 0u);
 }
 
 TEST(HybridNetwork, SparseMemoryIsProportionalToActiveLinks) {
   sim::NetworkConfig cfg;
-  sim::Network net(cfg, 100000, 1, sim::Network::Storage::kSparse);
+  sim::Network net(cfg, 100000, 1);
   net.hold(0, 99999, 2.0);
   net.block(99999, 0);
   // Two active links on a 10^10-link id space: far below what even one
-  // dense row would cost.
+  // row of an n x n table would cost.
   EXPECT_LT(net.link_table_bytes(), 4096u);
 }
 
 TEST(HybridNetwork, MutationValidatesIdsInBothBackends) {
   sim::NetworkConfig cfg;
-  for (const auto storage :
-       {sim::Network::Storage::kDense, sim::Network::Storage::kSparse}) {
-    sim::Network net(cfg, 4, 1, storage);
-    EXPECT_THROW(net.hold(0, 4, 1.0), std::out_of_range);
-    EXPECT_THROW(net.block(-1, 0), std::out_of_range);
-  }
+  sim::Network net(cfg, 4, 1);
+  EXPECT_THROW(net.hold(0, 4, 1.0), std::out_of_range);
+  EXPECT_THROW(net.block(-1, 0), std::out_of_range);
 }
 
 // ------------------------------------------------------- lazy key registry
@@ -191,7 +123,7 @@ TEST(TopologyAxis, WireGatedLikeTheOtherAxes) {
   const ScenarioMatrix legacy = named_matrix("smoke");
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     const SweepPoint p = legacy.point_at(i);
-    EXPECT_TRUE(p.topology_tag.empty());
+    EXPECT_TRUE(p.tag(Axis::kTopology).empty());
     EXPECT_EQ(p.label.find("topo="), std::string::npos);
   }
 
@@ -203,47 +135,27 @@ TEST(TopologyAxis, WireGatedLikeTheOtherAxes) {
   bool saw_committee = false;
   for (std::size_t i = 0; i < wide.size(); ++i) {
     const SweepPoint p = wide.point_at(i);
-    EXPECT_FALSE(p.topology_tag.empty());
-    EXPECT_NE(p.label.find("topo=" + p.topology_tag), std::string::npos);
-    if (p.topology_tag == "committee-4") saw_committee = true;
+    const std::string& tag = p.tag(Axis::kTopology);
+    EXPECT_FALSE(tag.empty());
+    EXPECT_NE(p.label.find("topo=" + tag), std::string::npos);
+    if (tag == "committee-4") saw_committee = true;
   }
   EXPECT_TRUE(saw_committee);
-}
-
-TEST(TopologyAxis, KeepTopologiesFiltersAndRejectsUnknownNames) {
-  ScenarioMatrix matrix =
-      named_matrix("smoke").topologies({"full-mesh", "committee-4"});
-  const std::size_t both = matrix.size();
-  matrix.keep_topologies({"committee-4"});
-  EXPECT_EQ(matrix.size(), both / 2);
-  EXPECT_THROW(matrix.keep_topologies({"committee-nope"}),
-               std::invalid_argument);
-  EXPECT_THROW(matrix.keep_topologies({"full-mesh"}), std::invalid_argument)
-      << "filtering to an absent axis value must fail loudly";
 }
 
 TEST(TopologyAxis, CheckpointRoundTripsTopologiesAndSplitsWorkIdentity) {
   io::Checkpoint cp;
   cp.matrix = "committee";
-  cp.topologies = "committee-4,committee-7";
+  cp.filter(Axis::kTopology) = "committee-4,committee-7";
   cp.total = 10;
   cp.end = 10;
   const io::Checkpoint back = io::Checkpoint::parse(cp.to_json());
-  EXPECT_EQ(back.topologies, cp.topologies);
+  EXPECT_EQ(back.filters, cp.filters);
   EXPECT_TRUE(cp.same_work(back));
 
   io::Checkpoint other = cp;
-  other.topologies = "committee-4";
+  other.filter(Axis::kTopology) = "committee-4";
   EXPECT_FALSE(cp.same_work(other));
-
-  // Pre-topology checkpoint files parse as unfiltered.
-  std::string legacy = cp.to_json();
-  const auto field = legacy.find("\"topologies\"");
-  const auto next_field = legacy.find("\"shard_index\"");
-  ASSERT_NE(field, std::string::npos);
-  ASSERT_LT(field, next_field);
-  legacy.erase(field, next_field - field);
-  EXPECT_EQ(io::Checkpoint::parse(legacy).topologies, "");
 }
 
 // ----------------------------------------------------- committee scenarios
@@ -327,7 +239,7 @@ TEST(CommitteeMatrix, OutcomeBytesAreIdenticalAcrossJobCounts) {
   // One topology slice of the committee matrix (n up to 200, both cert
   // modes); CI byte-compares the full matrix across --jobs via the CLI.
   const ScenarioMatrix matrix =
-      named_matrix("committee").keep_topologies({"committee-7"});
+      named_matrix("committee").keep(Axis::kTopology, {"committee-7"});
   ASSERT_GT(matrix.size(), 0u);
   const auto render = [&](int jobs) {
     std::string all;

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "valcon/harness/axis.hpp"
 #include "valcon/harness/search.hpp"
 #include "valcon/harness/sweep_io.hpp"
 
@@ -76,6 +77,24 @@ std::optional<std::pair<int, int>> parse_size(const std::string& s) {
   return std::make_pair(*n, *t);
 }
 
+/// Parses the comma-separated pool `csv` item by item into `pool`; an item
+/// `parse` rejects (nullopt) is reported as "<flag> wants <expect>".
+template <typename T, typename Parse>
+bool parse_pool(const std::string& csv, const std::string& flag,
+                const char* expect, Parse parse, std::vector<T>& pool) {
+  pool.clear();
+  for (const std::string& item : io::split_csv(csv)) {
+    const std::optional<T> v = parse(item);
+    if (!v.has_value()) {
+      std::cerr << "error: " << flag << " wants " << expect << ", got '"
+                << item << "'\n";
+      return false;
+    }
+    pool.push_back(*v);
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,99 +127,58 @@ int main(int argc, char** argv) {
       if (!parsed.has_value()) return usage(argv[0]);
       options.seed_tries = *parsed;
     } else if (arg == "--sizes" && i + 1 < argc) {
-      options.space.sizes.clear();
-      for (const std::string& item : io::split_csv(value())) {
-        const auto size = parse_size(item);
-        if (!size.has_value()) {
-          std::cerr << "error: --sizes wants n/t with 0 <= t < n, got '"
-                    << item << "'\n";
-          return 2;
-        }
-        options.space.sizes.push_back(*size);
+      if (!parse_pool(value(), arg, "n/t with 0 <= t < n", parse_size,
+                      options.space.sizes)) {
+        return 2;
       }
-    } else if (arg == "--strategies" && i + 1 < argc) {
-      options.space.strategies = io::split_csv(value());
-    } else if (arg == "--vcs" && i + 1 < argc) {
-      options.space.vcs.clear();
-      for (const std::string& item : io::split_csv(value())) {
-        const auto vc = vc_from_token(item);
-        if (!vc.has_value()) {
-          std::cerr << "error: --vcs wants auth|nonauth|fast, got '" << item
-                    << "'\n";
+    } else if (const AxisSpec* axis = axis_for_flag(arg);
+               axis != nullptr && i + 1 < argc) {
+      std::vector<std::string> pool = io::split_csv(value());
+      for (const std::string& item : pool) {
+        try {
+          axis->check(item);
+        } catch (const std::exception& e) {
+          std::cerr << "error: " << axis->flag << ": " << e.what() << "\n";
           return 2;
         }
-        options.space.vcs.push_back(*vc);
+      }
+      options.space.pool(axis->id) = std::move(pool);
+    } else if (arg == "--vcs" && i + 1 < argc) {
+      if (!parse_pool(value(), arg, "auth|nonauth|fast", vc_from_token,
+                      options.space.vcs)) {
+        return 2;
       }
     } else if (arg == "--validities" && i + 1 < argc) {
-      options.space.validities.clear();
-      for (const std::string& item : io::split_csv(value())) {
-        const auto kind = validity_from_token(item);
-        if (!kind.has_value()) {
-          std::cerr << "error: --validities wants strong|weak|"
-                       "correct-proposal|median|convex-hull, got '"
-                    << item << "'\n";
-          return 2;
-        }
-        options.space.validities.push_back(*kind);
-      }
-    } else if (arg == "--patterns" && i + 1 < argc) {
-      options.space.patterns = io::split_csv(value());
-    } else if (arg == "--net-profiles" && i + 1 < argc) {
-      options.space.net_profiles = io::split_csv(value());
-    } else if (arg == "--cert-modes" && i + 1 < argc) {
-      options.space.cert_modes.clear();
-      for (const std::string& item : io::split_csv(value())) {
-        const auto mode = core::cert_mode_from_token(item);
-        if (!mode.has_value()) {
-          std::cerr << "error: --cert-modes wants per-vote|aggregate, got '"
-                    << item << "'\n";
-          return 2;
-        }
-        options.space.cert_modes.push_back(*mode);
-      }
-    } else if (arg == "--topologies" && i + 1 < argc) {
-      options.space.topologies.clear();
-      for (const std::string& item : io::split_csv(value())) {
-        try {
-          static_cast<void>(named_topology(item));
-        } catch (const std::exception& e) {
-          std::cerr << "error: --topologies: " << e.what() << "\n";
-          return 2;
-        }
-        options.space.topologies.push_back(item);
+      if (!parse_pool(value(), arg,
+                      "strong|weak|correct-proposal|median|convex-hull",
+                      validity_from_token, options.space.validities)) {
+        return 2;
       }
     } else if (arg == "--gsts" && i + 1 < argc) {
-      options.space.gsts.clear();
-      for (const std::string& item : io::split_csv(value())) {
+      const auto at_least_zero = [](const std::string& item) {
         const auto v = parse_double(item);
-        if (!v.has_value() || *v < 0) {
-          std::cerr << "error: --gsts wants numbers >= 0, got '" << item
-                    << "'\n";
-          return 2;
-        }
-        options.space.gsts.push_back(*v);
+        return v.has_value() && *v >= 0 ? v : std::nullopt;
+      };
+      if (!parse_pool(value(), arg, "numbers >= 0", at_least_zero,
+                      options.space.gsts)) {
+        return 2;
       }
     } else if (arg == "--deltas" && i + 1 < argc) {
-      options.space.deltas.clear();
-      for (const std::string& item : io::split_csv(value())) {
+      const auto positive = [](const std::string& item) {
         const auto v = parse_double(item);
-        if (!v.has_value() || *v <= 0) {
-          std::cerr << "error: --deltas wants numbers > 0, got '" << item
-                    << "'\n";
-          return 2;
-        }
-        options.space.deltas.push_back(*v);
+        return v.has_value() && *v > 0 ? v : std::nullopt;
+      };
+      if (!parse_pool(value(), arg, "numbers > 0", positive,
+                      options.space.deltas)) {
+        return 2;
       }
     } else if (arg == "--domains" && i + 1 < argc) {
-      options.space.domains.clear();
-      for (const std::string& item : io::split_csv(value())) {
-        const auto v = io::parse_int(item, 2);
-        if (!v.has_value()) {
-          std::cerr << "error: --domains wants integers >= 2, got '" << item
-                    << "'\n";
-          return 2;
-        }
-        options.space.domains.push_back(*v);
+      const auto domain = [](const std::string& item) {
+        return io::parse_int(item, 2);
+      };
+      if (!parse_pool(value(), arg, "integers >= 2", domain,
+                      options.space.domains)) {
+        return 2;
       }
     } else if (arg == "--no-shrink") {
       options.shrink = false;

@@ -43,6 +43,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -52,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "valcon/harness/axis.hpp"
 #include "valcon/harness/sweep.hpp"
 #include "valcon/harness/sweep_io.hpp"
 #include "valcon/harness/table.hpp"
@@ -63,11 +65,11 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--matrix smoke|full|byzantine|validity|certs|committee]"
-               " [--strategies a,b,...] [--patterns a,b,...]"
-               " [--net-profiles a,b,...] [--cert-modes a,b,...]"
-               " [--topologies a,b,...]"
-               " [--jobs N] [--shard I/M]"
+            << " [--matrix smoke|full|byzantine|validity|certs|committee]";
+  for (const AxisSpec& axis : kAxes) {
+    std::cerr << " [" << axis.flag << " a,b,...]";
+  }
+  std::cerr << " [--jobs N] [--shard I/M]"
                " [--checkpoint FILE] [--stop-after K] [--out FILE]"
                " [--timing FILE] [--quiet]\n";
   return 2;
@@ -138,11 +140,7 @@ class TimingStream {
 
 int main(int argc, char** argv) {
   std::string matrix_name = "smoke";
-  std::string strategies_csv;
-  std::string patterns_csv;
-  std::string net_profiles_csv;
-  std::string cert_modes_csv;
-  std::string topologies_csv;
+  std::array<std::string, kAxisCount> filter_csv;  // by axis_index()
   std::string out_path;
   std::string checkpoint_path;
   std::string timing_path;
@@ -154,16 +152,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--matrix" && i + 1 < argc) {
       matrix_name = argv[++i];
-    } else if (arg == "--strategies" && i + 1 < argc) {
-      strategies_csv = argv[++i];
-    } else if (arg == "--patterns" && i + 1 < argc) {
-      patterns_csv = argv[++i];
-    } else if (arg == "--net-profiles" && i + 1 < argc) {
-      net_profiles_csv = argv[++i];
-    } else if (arg == "--cert-modes" && i + 1 < argc) {
-      cert_modes_csv = argv[++i];
-    } else if (arg == "--topologies" && i + 1 < argc) {
-      topologies_csv = argv[++i];
+    } else if (const AxisSpec* axis = axis_for_flag(arg);
+               axis != nullptr && i + 1 < argc) {
+      filter_csv[axis_index(axis->id)] = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
       // Strict parse: "--jobs abc" / "--jobs -3" used to become 1 job
       // silently via atoi.
@@ -207,33 +198,25 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
+  // Filter identity is the *set* of names (neither the keep-order nor a
+  // repeated name affects the matrix), so the checkpoint's joins are
+  // sorted and deduped: a resume that spells the same filter differently
+  // still matches its checkpoint. (Checkpoints from builds that recorded
+  // the raw --strategies order may report a mismatch on a multi-name
+  // filter; rerun that shard from scratch.)
+  io::Checkpoint cp;
+  cp.matrix = matrix_name;
   ScenarioMatrix matrix = named_matrix("smoke");
-  std::vector<std::string> strategies;
-  std::vector<std::string> patterns;
-  std::vector<std::string> net_profiles;
-  std::vector<std::string> cert_modes;
-  std::vector<std::string> topologies;
   try {
     matrix = named_matrix(matrix_name);
-    if (!strategies_csv.empty()) {
-      strategies = io::split_csv(strategies_csv);
-      matrix.keep_strategies(strategies);
-    }
-    if (!patterns_csv.empty()) {
-      patterns = io::split_csv(patterns_csv);
-      matrix.keep_patterns(patterns);
-    }
-    if (!net_profiles_csv.empty()) {
-      net_profiles = io::split_csv(net_profiles_csv);
-      matrix.keep_network_profiles(net_profiles);
-    }
-    if (!cert_modes_csv.empty()) {
-      cert_modes = io::split_csv(cert_modes_csv);
-      matrix.keep_cert_modes(cert_modes);
-    }
-    if (!topologies_csv.empty()) {
-      topologies = io::split_csv(topologies_csv);
-      matrix.keep_topologies(topologies);
+    for (const AxisSpec& axis : kAxes) {
+      const std::string& csv = filter_csv[axis_index(axis.id)];
+      if (csv.empty()) continue;
+      std::vector<std::string> names = io::split_csv(csv);
+      matrix.keep(axis.id, names);
+      std::sort(names.begin(), names.end());
+      names.erase(std::unique(names.begin(), names.end()), names.end());
+      cp.filter(axis.id) = join_csv(names);
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
@@ -244,24 +227,6 @@ int main(int argc, char** argv) {
       io::shard_range(total, shard.value_or(io::ShardSpec{0, 1}));
 
   // ---------------------------------------------------------- checkpoint
-  io::Checkpoint cp;
-  cp.matrix = matrix_name;
-  // Filter identity is the *set* of names (neither the keep-order nor a
-  // repeated name affects the matrix), so the joins are sorted and
-  // deduped: a resume that spells the same filter differently still
-  // matches its checkpoint. (Checkpoints from builds that recorded the
-  // raw --strategies order may report a mismatch on a multi-name filter;
-  // rerun that shard from scratch.)
-  const auto sorted_join = [](std::vector<std::string> names) {
-    std::sort(names.begin(), names.end());
-    names.erase(std::unique(names.begin(), names.end()), names.end());
-    return join_csv(names);
-  };
-  cp.strategies = sorted_join(strategies);
-  cp.patterns = sorted_join(patterns);
-  cp.net_profiles = sorted_join(net_profiles);
-  cp.cert_modes = sorted_join(cert_modes);
-  cp.topologies = sorted_join(topologies);
   cp.shard = shard.value_or(io::ShardSpec{0, 1});
   cp.total = total;
   cp.begin = range.begin;
@@ -277,9 +242,9 @@ int main(int argc, char** argv) {
         const io::Checkpoint loaded = io::Checkpoint::parse(text);
         if (!loaded.same_work(cp)) {
           std::cerr << "error: checkpoint " << checkpoint_path
-                    << " records different work (matrix, --strategies,"
-                       " --patterns, --net-profiles, --cert-modes,"
-                       " --topologies or shard mismatch);"
+                    << " records different work (matrix";
+          for (const AxisSpec& axis : kAxes) std::cerr << ", " << axis.flag;
+          std::cerr << " or shard mismatch);"
                        " delete it or rerun the original invocation\n";
           return 2;
         }
