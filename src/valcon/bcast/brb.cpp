@@ -4,19 +4,25 @@
 
 namespace valcon::bcast {
 
-namespace {
-
-crypto::Hash content_digest(const ReliableBroadcast::Content& content) {
+crypto::Hash content_digest(const std::vector<std::uint8_t>& content) {
   crypto::Hasher h("valcon/brb-content");
   h.add_bytes(content);
   return h.finish();
 }
+
+namespace {
 
 // Domain for the aggregate-mode echo votes. Binding the designated sender
 // in keeps a certificate from one BRB instance from being replayed into
 // another instance that happens to carry the same content.
 crypto::Hash echo_vote_digest(ProcessId sender, const crypto::Hash& content) {
   return crypto::Hasher("valcon/brb-echo-sig").add(sender).add(content).finish();
+}
+
+// The content digest of a certificate's body: the
+// QuorumCertificatePayload::digest recipe for echo certificates.
+crypto::Hash body_digest(const core::QuorumCertificatePayload& qc) {
+  return content_digest(qc.body);
 }
 
 }  // namespace
@@ -49,7 +55,7 @@ void ReliableBroadcast::on_message(sim::Context& ctx, ProcessId from,
   }
   const auto* msg = dynamic_cast<const Msg*>(m.get());
   if (msg == nullptr) return;
-  const crypto::Hash digest = content_digest(msg->content);
+  const crypto::Hash& digest = msg->digest();
 
   switch (msg->kind) {
     case Msg::Kind::kSend:
@@ -107,9 +113,11 @@ void ReliableBroadcast::maybe_certify(sim::Context& ctx) {
 void ReliableBroadcast::on_echo_cert(sim::Context& ctx,
                                      const core::QuorumCertificatePayload& qc) {
   if (qc.tag != kTagEchoCert) return;
-  // Recompute the vote digest from the carried content: a certificate is
-  // only as good as the digest the receiver derives itself.
-  const crypto::Hash digest = content_digest(qc.body);
+  // Derive the vote digest from the carried content: a certificate is
+  // only as good as the digest the receiver derives itself. The content
+  // digest is shared by every recipient of this one broadcast object; the
+  // binding to this instance's sender is per receiver.
+  const crypto::Hash& digest = qc.digest(body_digest);
   if (qc.agg.digest != echo_vote_digest(sender_, digest)) return;
   if (qc.voters.count() < core::brb_echo_quorum(ctx.n(), ctx.t())) return;
   if (!ctx.keys().verify_aggregate(qc.voters, qc.agg)) return;

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -37,6 +38,10 @@
 #include "valcon/sim/component.hpp"
 
 namespace valcon::bcast {
+
+/// The domain-separated digest BRB tallies ECHOs and READYs by.
+[[nodiscard]] crypto::Hash content_digest(
+    const std::vector<std::uint8_t>& content);
 
 class ReliableBroadcast final : public sim::Component {
  public:
@@ -60,9 +65,14 @@ class ReliableBroadcast final : public sim::Component {
 
   [[nodiscard]] bool delivered() const { return delivered_; }
 
- private:
   // One class interns three metric names (brb/send, brb/echo, brb/ready)
   // switched on `kind`; VALCON_PAYLOAD_TYPE can only declare a single name.
+  //
+  // A broadcast hands one Msg object to every recipient, so digest()
+  // computes content_digest(content) for the first receiver that asks and
+  // serves every later one from the memo. The memo is derived from the
+  // payload's own (const) content, never from the wire, and lives as long
+  // as the payload: one run's slab, one thread.
   // valcon-lint: allow(payload-type) -- multi-name payload, interns per kind
   struct Msg final : sim::Payload {
     enum class Kind { kSend, kEcho, kReady };
@@ -84,11 +94,19 @@ class ReliableBroadcast final : public sim::Component {
       return ids[static_cast<std::size_t>(kind)];
     }
     [[nodiscard]] std::size_t size_words() const override { return words_; }
-    Kind kind;
-    Content content;
+    [[nodiscard]] const crypto::Hash& digest() const {
+      if (!digest_.has_value()) digest_ = content_digest(content);
+      return *digest_;
+    }
+    const Kind kind;
+    const Content content;
     std::size_t words_;
+
+   private:
+    mutable std::optional<crypto::Hash> digest_;
   };
 
+ private:
   /// One signed echo-vote, sent point-to-point to the designated sender in
   /// aggregate mode instead of the all-to-all ECHO broadcast.
   struct MEchoSig final : sim::Payload {

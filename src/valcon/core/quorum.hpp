@@ -131,7 +131,15 @@ class QuorumCollector {
 /// missed the original send can still deliver. Word accounting: one
 /// header word, one aggregate-signature word, the bitset words, and the
 /// body words.
+///
+/// A certificate is broadcast or relayed as one object, so digest() keeps
+/// the first receiver's digest and hands it to every later receiver that
+/// asks with the same recipe. A recipe is a pure function of the
+/// certificate's own (const) fields; a digest that depends on receiver
+/// state is computed by the receiver, outside the memo.
 struct QuorumCertificatePayload final : sim::Payload {
+  using DigestRecipe = crypto::Hash (*)(const QuorumCertificatePayload&);
+
   QuorumCertificatePayload(std::uint32_t tag_in, std::int64_t round_in,
                            std::int64_t value_in, crypto::VoterBitset voters_in,
                            crypto::AggregateSignature agg_in,
@@ -149,12 +157,24 @@ struct QuorumCertificatePayload final : sim::Payload {
     return 2 + voters.words().size() + (body.size() + 7) / 8;
   }
 
-  std::uint32_t tag;
-  std::int64_t round;
-  std::int64_t value;
-  crypto::VoterBitset voters;
-  crypto::AggregateSignature agg;
-  std::vector<std::uint8_t> body;
+  [[nodiscard]] const crypto::Hash& digest(DigestRecipe recipe) const {
+    if (digest_recipe_ != recipe) {
+      digest_ = recipe(*this);
+      digest_recipe_ = recipe;
+    }
+    return digest_;
+  }
+
+  const std::uint32_t tag;
+  const std::int64_t round;
+  const std::int64_t value;
+  const crypto::VoterBitset voters;
+  const crypto::AggregateSignature agg;
+  const std::vector<std::uint8_t> body;
+
+ private:
+  mutable DigestRecipe digest_recipe_ = nullptr;
+  mutable crypto::Hash digest_{};
 };
 
 }  // namespace valcon::core

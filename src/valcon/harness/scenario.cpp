@@ -164,15 +164,18 @@ RunResult run_universal(const ScenarioConfig& cfg,
   if (cfg.net_profile.min_delay >= 0) {
     sim_cfg.net.min_delay = cfg.net_profile.min_delay;
   }
+  // Every recording decide callback points here, so the tally is declared
+  // before the Simulator and outlives every process it owns.
+  struct RunTally {
+    RunResult result;
+    int correct_decided = 0;
+  } tally;
   sim::Simulator simulator(sim_cfg);
   // The profile's per-link policy goes in before any process is installed,
   // so even start-time sends see the adversarial schedule.
   if (auto policy = cfg.net_profile.make_delay_policy(cfg.gst)) {
     simulator.network().set_delay_policy(std::move(policy));
   }
-
-  auto result = std::make_shared<RunResult>();
-  auto correct_decided = std::make_shared<int>(0);
 
   // Committee topology: the inner stack runs over a k-sized system (and a
   // k-sized key registry) on the k lowest-id processes; everyone else is a
@@ -193,30 +196,34 @@ RunResult run_universal(const ScenarioConfig& cfg,
     inner_cfg = std::move(inner);
   }
 
-  // Builds the same full Universal stack a correct process runs, proposing
-  // `v`. `record` wires its decisions into the RunResult (they are pruned
-  // from the correctness-facing views at the end if the process is faulty);
-  // a non-recorded stack discards them (equivocation faces etc.).
+  // Builds the same full Universal stack a correct process runs for `pid`,
+  // proposing `v`. `record` wires its decisions into the RunResult (they
+  // are pruned from the correctness-facing views at the end if the process
+  // is faulty); a non-recorded stack discards them (equivocation faces
+  // etc.). The recording callback captures one reference and a flag, so it
+  // fits std::function's inline buffer; listeners get no inner-stack
+  // factory, as they never build one.
   const auto make_stack =
-      [&](Value v, bool record, bool is_correct) -> std::unique_ptr<sim::Process> {
+      [&](ProcessId pid, Value v, bool record,
+          bool is_correct) -> std::unique_ptr<sim::Process> {
     auto on_decide =
         record ? core::Universal::DecideCb(
-                     [result, correct_decided, is_correct](sim::Context& ctx,
-                                                           Value decided) {
-                       result->decisions[ctx.id()] = decided;
-                       result->decide_times[ctx.id()] = ctx.now();
-                       if (is_correct) ++*correct_decided;
+                     [&tally, is_correct](sim::Context& ctx, Value decided) {
+                       tally.result.decisions[ctx.id()] = decided;
+                       tally.result.decide_times[ctx.id()] = ctx.now();
+                       if (is_correct) ++tally.correct_decided;
                      })
                : core::Universal::DecideCb([](sim::Context&, Value) {});
     if (!committee) {
       return std::make_unique<sim::ComponentHost>(
           make_universal(cfg, v, lambda, std::move(on_decide)));
     }
-    CommitteeHost::StackFactory factory =
-        [inner_cfg, v, lambda](core::Universal::DecideCb inner_decide) {
-          return make_universal(*inner_cfg, v, lambda,
-                                std::move(inner_decide));
-        };
+    CommitteeHost::StackFactory factory;
+    if (pid < committee_k) {
+      factory = [inner_cfg, v, lambda](core::Universal::DecideCb inner_decide) {
+        return make_universal(*inner_cfg, v, lambda, std::move(inner_decide));
+      };
+    }
     return std::make_unique<CommitteeHost>(
         committee_k, committee_t, cfg.cert_mode, committee_keys,
         std::move(factory), std::move(on_decide));
@@ -230,7 +237,7 @@ RunResult run_universal(const ScenarioConfig& cfg,
     const auto fault = cfg.faults.find(p);
     if (fault == cfg.faults.end()) {
       simulator.add_process(
-          p, make_stack(cfg.proposals[static_cast<std::size_t>(p)],
+          p, make_stack(p, cfg.proposals[static_cast<std::size_t>(p)],
                         /*record=*/true, /*is_correct=*/true));
       continue;
     }
@@ -241,12 +248,12 @@ RunResult run_universal(const ScenarioConfig& cfg,
         p,
         simulator,
         /*recorded_stack=*/
-        [&make_stack](Value v) {
-          return make_stack(v, /*record=*/true, /*is_correct=*/false);
+        [&make_stack, p](Value v) {
+          return make_stack(p, v, /*record=*/true, /*is_correct=*/false);
         },
         /*shadow_stack=*/
-        [&make_stack](Value v) {
-          return make_stack(v, /*record=*/false, /*is_correct=*/false);
+        [&make_stack, p](Value v) {
+          return make_stack(p, v, /*record=*/false, /*is_correct=*/false);
         },
         /*shared=*/&shared,
     };
@@ -271,40 +278,41 @@ RunResult run_universal(const ScenarioConfig& cfg,
   const std::uint64_t blocks_before = crypto::sha256_blocks();
   while (simulator.step(cutoff)) {
     ++events;
-    if (!grace_armed && *correct_decided == n_correct) {
+    if (!grace_armed && tally.correct_decided == n_correct) {
       grace_armed = true;
       cutoff = std::min(cfg.horizon,
                         simulator.now() + cfg.grace_multiplier * cfg.delta);
     }
   }
-  result->events = events;
-  result->verifies_total = crypto::verify_counters().total() - verifies_before;
-  result->hash_blocks = crypto::sha256_blocks() - blocks_before;
-  result->queue_drained = simulator.idle();
-  result->end_time = simulator.now();
-  result->grace_cutoff = grace_armed ? cutoff : -1.0;
-  result->message_complexity = simulator.metrics().message_complexity();
-  result->word_complexity = simulator.metrics().communication_complexity();
-  result->messages_total = simulator.metrics().messages_total();
-  result->by_type = simulator.metrics().by_type();
-  result->min_vote_margin = simulator.metrics().near_miss().min_vote_margin;
-  result->conflicting_votes = simulator.metrics().near_miss().conflicting_votes;
+  RunResult& result = tally.result;
+  result.events = events;
+  result.verifies_total = crypto::verify_counters().total() - verifies_before;
+  result.hash_blocks = crypto::sha256_blocks() - blocks_before;
+  result.queue_drained = simulator.idle();
+  result.end_time = simulator.now();
+  result.grace_cutoff = grace_armed ? cutoff : -1.0;
+  result.message_complexity = simulator.metrics().message_complexity();
+  result.word_complexity = simulator.metrics().communication_complexity();
+  result.messages_total = simulator.metrics().messages_total();
+  result.by_type = simulator.metrics().by_type();
+  result.min_vote_margin = simulator.metrics().near_miss().min_vote_margin;
+  result.conflicting_votes = simulator.metrics().near_miss().conflicting_votes;
   // Crashed processes may have "decided" before crashing; they are faulty,
   // so drop them from the correctness-facing views.
   for (const auto& [pid, fault] : cfg.faults) {
-    result->decisions.erase(pid);
-    result->decide_times.erase(pid);
+    result.decisions.erase(pid);
+    result.decide_times.erase(pid);
   }
   // last_decision_time must be derived from the decisions that survive the
   // pruning: a faulty recorded stack (an equivocator face, a process that
   // decides and later crashes) can decide after every correct process, and
   // folding its time into the max would inflate latency metrics computed
   // over correct processes only.
-  result->last_decision_time = 0.0;
-  for (const auto& [pid, when] : result->decide_times) {
-    result->last_decision_time = std::max(result->last_decision_time, when);
+  result.last_decision_time = 0.0;
+  for (const auto& [pid, when] : result.decide_times) {
+    result.last_decision_time = std::max(result.last_decision_time, when);
   }
-  return *result;
+  return std::move(result);
 }
 
 double loglog_slope(const std::vector<double>& xs,

@@ -46,6 +46,12 @@ class CommitteeCtx final : public sim::ForwardingContext {
   const crypto::Signer& signer_;
 };
 
+/// The digest an announce certificate's quorum signed: a pure function of
+/// the certified value (the QuorumCertificatePayload::digest recipe).
+crypto::Hash cert_announce_digest(const core::QuorumCertificatePayload& cert) {
+  return announce_digest(cert.value);
+}
+
 }  // namespace
 
 void Topology::validate(int n) const {
@@ -111,6 +117,11 @@ CommitteeHost::~CommitteeHost() = default;
 
 void CommitteeHost::on_start(sim::Context& ctx) {
   if (ctx.id() >= k_) return;  // listeners are purely reactive
+  if (!make_inner_) {
+    throw std::logic_error("CommitteeHost: member " +
+                           std::to_string(ctx.id()) +
+                           " has no inner-stack factory");
+  }
   signer_.emplace(keys_->signer_for(ctx.id()));
   inner_ = make_inner_([this](sim::Context&, Value decided) {
     // Fires synchronously under the committee context, whose id is real
@@ -169,26 +180,25 @@ void CommitteeHost::flush_member_decide(sim::Context& ctx) {
   member_announced_ = true;
   const Value decided = *pending_decide_;
   if (on_decide_) on_decide_(ctx, decided);
-  const crypto::Hash digest = announce_digest(decided);
-  const crypto::Signature sig = signer_->sign(digest);
+  const crypto::Signature sig = signer_->sign(announce_digest(decided));
+  // One announce object for the whole fan-out: payloads are immutable, and
+  // the first receiver's digest() serves every later one.
+  const sim::PayloadPtr announce =
+      sim::make_payload<DecisionAnnounce>(decided, sig);
   if (cert_mode_ == core::CertMode::kAggregate) {
     // Vote within the committee; the relay step (handle_committee_vote)
     // turns a quorum of these into one certificate for the listeners.
-    for (ProcessId to = 0; to < k_; ++to) {
-      ctx.send(to, sim::make_payload<DecisionAnnounce>(decided, sig));
-    }
+    for (ProcessId to = 0; to < k_; ++to) ctx.send(to, announce);
   } else {
     // Per-vote fanout: every deciding member vouches to every listener.
-    for (ProcessId to = k_; to < ctx.n(); ++to) {
-      ctx.send(to, sim::make_payload<DecisionAnnounce>(decided, sig));
-    }
+    for (ProcessId to = k_; to < ctx.n(); ++to) ctx.send(to, announce);
   }
 }
 
 void CommitteeHost::handle_committee_vote(sim::Context& ctx, ProcessId from,
                                           const DecisionAnnounce& announce) {
   if (announce.sig.signer != from) return;
-  const crypto::Hash digest = announce_digest(announce.value);
+  const crypto::Hash& digest = announce.digest();
   if (announce.sig.digest != digest) return;
   // Speculative aggregation (core/quorum.hpp): record unverified, pay one
   // verify_aggregate at certify time.
@@ -199,25 +209,22 @@ void CommitteeHost::handle_committee_vote(sim::Context& ctx, ProcessId from,
   if (ctx.id() >= core::plurality(t_c_)) return;
   const int quorum = core::quorum_n_minus_t(k_, t_c_);
   if (votes_.count(digest) < quorum) return;
-  const auto cert =
-      core::certify_verified(votes_, *keys_, digest, k_, quorum);
+  auto cert = core::certify_verified(votes_, *keys_, digest, k_, quorum);
   if (!cert.has_value()) return;
   relayed_ = true;
   const auto [margin, conflicting] = votes_.rivalry(digest);
   ctx.note_quorum(margin, conflicting);
-  for (ProcessId to = k_; to < ctx.n(); ++to) {
-    ctx.send(to, sim::make_payload<core::QuorumCertificatePayload>(
-                     kAnnounceTag, 0, announce.value, cert->voters,
-                     cert->agg));
-  }
+  const sim::PayloadPtr relay =
+      sim::make_payload<core::QuorumCertificatePayload>(
+          kAnnounceTag, 0, announce.value, std::move(cert->voters), cert->agg);
+  for (ProcessId to = k_; to < ctx.n(); ++to) ctx.send(to, relay);
 }
 
 void CommitteeHost::handle_listener_announce(sim::Context& ctx,
                                              ProcessId from,
                                              const DecisionAnnounce& announce) {
   if (announce.sig.signer != from) return;
-  const crypto::Hash digest = announce_digest(announce.value);
-  if (announce.sig.digest != digest) return;
+  if (announce.sig.digest != announce.digest()) return;
   if (!keys_->verify(announce.sig)) return;
   auto& vouchers = listener_votes_[announce.value];
   vouchers.insert(from);
@@ -229,11 +236,11 @@ void CommitteeHost::handle_listener_announce(sim::Context& ctx,
 void CommitteeHost::handle_listener_cert(
     sim::Context& ctx, const core::QuorumCertificatePayload& cert) {
   if (cert.tag != kAnnounceTag) return;
-  // Never trust the carried digest: recompute from the value so the
+  // Never trust the carried digest: derive it from the value so the
   // certificate binds to exactly this announce step (the forge-qc
-  // strategy keeps this check honest).
-  const crypto::Hash digest = announce_digest(cert.value);
-  if (cert.agg.digest != digest) return;
+  // strategy keeps this check honest). The relayer sends one object to
+  // every listener, so the first listener's derivation serves the rest.
+  if (cert.agg.digest != cert.digest(cert_announce_digest)) return;
   if (cert.voters.count() < core::quorum_n_minus_t(k_, t_c_)) return;
   if (!keys_->verify_aggregate(cert.voters, cert.agg)) return;
   listener_decided_ = true;

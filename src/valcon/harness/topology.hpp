@@ -85,10 +85,20 @@ struct Topology {
 /// The known topology forms, sorted — for error messages and usage text.
 [[nodiscard]] std::vector<std::string> topology_names();
 
+/// The domain-separated digest a DecisionAnnounce (and the aggregate-mode
+/// certificate) signs: a pure function of the decided value.
+[[nodiscard]] crypto::Hash announce_digest(Value value);
+
 /// A committee member's signed decision announcement. `sig` is the
 /// member's committee-registry signature over the domain-separated digest
-/// of `value`; listeners recompute the digest themselves, so a relayed or
-/// replayed announce binds to exactly one value.
+/// of `value`; receivers derive the digest from `value` themselves, so a
+/// relayed or replayed announce binds to exactly one value.
+///
+/// A member sends one announce object to every recipient, so digest()
+/// computes announce_digest(value) for the first receiver that asks and
+/// hands the same hash to every later one. The memo is derived from the
+/// payload's own (const) value, never from the wire, and lives as long as
+/// the payload: one run's slab, one thread.
 struct DecisionAnnounce final : sim::Payload {
   DecisionAnnounce(Value value_in, crypto::Signature sig_in)
       : value(value_in), sig(sig_in) {}
@@ -97,13 +107,17 @@ struct DecisionAnnounce final : sim::Payload {
 
   [[nodiscard]] std::size_t size_words() const override { return 2; }
 
-  Value value;
-  crypto::Signature sig;
-};
+  [[nodiscard]] const crypto::Hash& digest() const {
+    if (!digest_.has_value()) digest_ = announce_digest(value);
+    return *digest_;
+  }
 
-/// The domain-separated digest a DecisionAnnounce (and the aggregate-mode
-/// certificate) signs: a pure function of the decided value.
-[[nodiscard]] crypto::Hash announce_digest(Value value);
+  const Value value;
+  crypto::Signature sig;
+
+ private:
+  mutable std::optional<crypto::Hash> digest_;
+};
 
 /// One process under a committee topology — member or listener, decided by
 /// the runtime id (members are ids [0, committee_k)).
@@ -115,11 +129,14 @@ struct DecisionAnnounce final : sim::Payload {
 /// exactly the committee. Traffic from non-members never reaches the
 /// inner stack. Decisions are recorded through the same DecideCb the
 /// full-mesh path uses (the context's id/now are the real ones), then
-/// fanned out per the cert mode documented on Topology.
+/// fanned out per the cert mode documented on Topology: one payload
+/// object per fan-out, sent to every recipient.
 class CommitteeHost final : public sim::Process {
  public:
   /// Builds the inner Universal stack with the given decide callback
   /// (CommitteeHost supplies its own, so it can announce after recording).
+  /// Only members call it: a listener may be given an empty factory, while
+  /// a member without one throws std::logic_error at on_start.
   using StackFactory = std::function<std::unique_ptr<core::Universal>(
       core::Universal::DecideCb)>;
 

@@ -1,5 +1,6 @@
 // Unit tests: Bracha reliable broadcast (Appendix B.2's primitive) and slow
-// broadcast (Algorithm 4), driven directly on the simulator.
+// broadcast (Algorithm 4), driven directly on the simulator, plus the BRB
+// message's memoized content digest.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,6 +9,7 @@
 
 #include "valcon/bcast/brb.hpp"
 #include "valcon/bcast/slow_broadcast.hpp"
+#include "valcon/crypto/sha256.hpp"
 #include "valcon/sim/adversary.hpp"
 #include "valcon/sim/component.hpp"
 #include "valcon/sim/simulator.hpp"
@@ -140,6 +142,21 @@ TEST(Brb, TotalityFromPartialReadySet) {
     EXPECT_EQ(delivered.size(), 3u);
     for (const auto& [pid, m] : delivered) EXPECT_EQ(m, msg);
   }
+}
+
+TEST(Brb, MessageDigestIsTheContentDigestAndHashedOnce) {
+  const Bytes content(200, 0xab);  // several compression blocks
+  std::uint64_t before = crypto::sha256_blocks();
+  const crypto::Hash want = bcast::content_digest(content);
+  const std::uint64_t per_digest = crypto::sha256_blocks() - before;
+  ASSERT_GT(per_digest, 1u);
+  const ReliableBroadcast::Msg msg(ReliableBroadcast::Msg::Kind::kEcho,
+                                   content, 1);
+  before = crypto::sha256_blocks();
+  EXPECT_EQ(msg.digest(), want);
+  // Every later recipient of the same broadcast object reads the memo.
+  EXPECT_EQ(msg.digest(), want);
+  EXPECT_EQ(crypto::sha256_blocks() - before, per_digest);
 }
 
 TEST(Brb, MessageComplexityQuadratic) {

@@ -1,10 +1,12 @@
 // Quorum-certificate layer (core/quorum.hpp + the aggregatable scheme in
 // crypto/signatures.hpp): aggregate construction and rejection cases,
 // collector tallying and speculative aggregation, the wire payload's word
-// accounting, end-to-end aggregate-mode decisions on every protocol stack,
-// per-vote/aggregate decision equivalence, forge-qc honest rejection, and
-// job-count determinism of aggregate-mode sweeps (the "certs" matrix cells
-// carry verifies_total, so the byte comparison covers the verify tally).
+// accounting and per-recipe digest memo, end-to-end aggregate-mode
+// decisions on every protocol stack, per-vote/aggregate decision
+// equivalence, forge-qc honest rejection, job-count determinism of
+// aggregate-mode sweeps (the "certs" matrix cells carry verifies_total, so
+// the byte comparison covers the verify tally), and per-run SHA-256 block
+// counts, some pinned exactly.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -14,6 +16,7 @@
 
 #include "valcon/core/quorum.hpp"
 #include "valcon/crypto/hash.hpp"
+#include "valcon/crypto/sha256.hpp"
 #include "valcon/crypto/signatures.hpp"
 #include "valcon/harness/search.hpp"
 #include "valcon/harness/sweep.hpp"
@@ -270,6 +273,35 @@ TEST(QuorumCertificatePayload, CountsHeaderAggregateBitsetAndBodyWords) {
   EXPECT_EQ(p.size_words(), 6u);
 }
 
+namespace {
+
+crypto::Hash value_digest(const QuorumCertificatePayload& qc) {
+  return crypto::Hasher("test/qc-value").add(qc.value).finish();
+}
+
+crypto::Hash round_digest(const QuorumCertificatePayload& qc) {
+  return crypto::Hasher("test/qc-round").add(qc.round).finish();
+}
+
+}  // namespace
+
+TEST(QuorumCertificatePayload, DigestIsMemoizedPerRecipe) {
+  const QuorumCertificatePayload p(1, 3, 5, crypto::VoterBitset(4), {});
+  const crypto::Hash by_value = value_digest(p);
+  const crypto::Hash by_round = round_digest(p);
+  std::uint64_t before = crypto::sha256_blocks();
+  EXPECT_EQ(p.digest(value_digest), by_value);
+  const std::uint64_t per_digest = crypto::sha256_blocks() - before;
+  ASSERT_GT(per_digest, 0u);
+  // Later receivers with the same recipe read the memo.
+  before = crypto::sha256_blocks();
+  EXPECT_EQ(p.digest(value_digest), by_value);
+  EXPECT_EQ(crypto::sha256_blocks(), before);
+  // Another recipe never sees the first one's digest.
+  EXPECT_EQ(p.digest(round_digest), by_round);
+  EXPECT_EQ(p.digest(value_digest), by_value);
+}
+
 // ------------------------------------------------------------- end to end
 
 namespace {
@@ -413,6 +445,44 @@ TEST(HashBlocks, PerCellCountIsJobCountIndependent) {
   ASSERT_EQ(serial.size(), matrix.size());
   for (const std::uint64_t count : serial) EXPECT_GT(count, 0u);
   EXPECT_EQ(serial, blocks_at(4));
+}
+
+namespace {
+
+std::uint64_t hash_blocks_of(int n, int t, const std::string& topology,
+                             CertMode mode, harness::VcKind vc) {
+  const harness::SweepOutcome o = harness::run_point(
+      harness::ScenarioMatrix()
+          .vc_kinds({vc})
+          .validities({harness::ValidityKind::kStrong})
+          .patterns({"unanimous"})
+          .faults({harness::FaultSpec{"silent", 0}})
+          .sizes({{n, t}})
+          .topologies({topology})
+          .cert_modes({mode})
+          .seeds({1})
+          .point_at(0));
+  EXPECT_TRUE(o.error.empty()) << o.error;
+  EXPECT_EQ(o.result.decisions.size(), static_cast<std::size_t>(n));
+  return o.result.hash_blocks;
+}
+
+}  // namespace
+
+TEST(HashBlocks, PinnedPerCellCounts) {
+  // Exact counts, so per-recipient rehashing cannot creep back in: a
+  // fan-out shares one payload and the first receiver's digest serves
+  // every later one. Before that change the same cells hashed
+  // 1033, 819 and 735 blocks.
+  EXPECT_EQ(hash_blocks_of(100, 33, "committee-10", CertMode::kPerVote,
+                           harness::VcKind::kAuthenticated),
+            683u);
+  EXPECT_EQ(hash_blocks_of(100, 33, "committee-10", CertMode::kAggregate,
+                           harness::VcKind::kAuthenticated),
+            643u);
+  EXPECT_EQ(hash_blocks_of(7, 2, "full-mesh", CertMode::kPerVote,
+                           harness::VcKind::kNonAuthenticated),
+            105u);
 }
 
 TEST(HashBlocks, RepeatedRunOnOneThreadHashesTheSame) {

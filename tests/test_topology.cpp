@@ -4,16 +4,22 @@
 // allocation, the Topology axis (parsing, validation, wire gating,
 // checkpoint identity; the contract every axis shares is in test_axis),
 // committee scenarios end to end under both cert modes (including announce
-// forgery rejection at the crypto layer), and the committee matrix's
-// job-count independence down to the emitted bytes.
+// forgery rejection at the crypto layer), listeners fed one shared announce
+// object (memoized digest, forgeries still rejected, no inner-stack
+// factory), and the committee matrix's job-count independence down to the
+// emitted bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "valcon/crypto/sha256.hpp"
 #include "valcon/crypto/signatures.hpp"
 #include "valcon/harness/net_profile.hpp"
 #include "valcon/harness/scenario.hpp"
@@ -21,6 +27,7 @@
 #include "valcon/harness/sweep_io.hpp"
 #include "valcon/harness/topology.hpp"
 #include "valcon/sim/network.hpp"
+#include "valcon/sim/simulator.hpp"
 
 using namespace valcon;
 using namespace valcon::harness;
@@ -231,6 +238,102 @@ TEST(CommitteeScenario, AnnounceDigestBindsTheValue) {
   // different key universe) never verifies.
   const auto other = shared_key_registry(7, 5, 2);
   EXPECT_FALSE(keys->verify(other->signer_for(0).sign(announce_digest(4))));
+}
+
+// ------------------------------------------------ shared fan-out payloads
+
+TEST(CommitteeAnnounce, DigestIsTheValueDigestAndHashedOnce) {
+  std::uint64_t before = crypto::sha256_blocks();
+  const crypto::Hash want = announce_digest(4);
+  const std::uint64_t per_digest = crypto::sha256_blocks() - before;
+  const DecisionAnnounce announce(4, crypto::Signature{});
+  before = crypto::sha256_blocks();
+  EXPECT_EQ(announce.digest(), want);
+  // Every later receiver of the same object reads the memo.
+  EXPECT_EQ(announce.digest(), want);
+  EXPECT_EQ(crypto::sha256_blocks() - before, per_digest);
+}
+
+/// A committee member that sends one shared announce object to every
+/// listener at start — honest when `value` is the value `sig` covers,
+/// a forger otherwise.
+class FanOutAnnouncer final : public sim::Process {
+ public:
+  FanOutAnnouncer(int k, Value value, crypto::Signature sig)
+      : k_(k), value_(value), sig_(sig) {}
+
+  void on_start(sim::Context& ctx) override {
+    const sim::PayloadPtr announce =
+        sim::make_payload<DecisionAnnounce>(value_, sig_);
+    for (ProcessId to = k_; to < ctx.n(); ++to) ctx.send(to, announce);
+  }
+  void on_message(sim::Context&, ProcessId, const sim::PayloadPtr&) override {}
+
+ private:
+  int k_;
+  Value value_;
+  crypto::Signature sig_;
+};
+
+/// Runs k announcers (the whole committee) and n - k listener hosts built
+/// with an empty inner-stack factory; returns the listeners' decisions.
+/// Every signature covers value 4 and every announce carries `carried`;
+/// `retarget_digest` rewrites each signature's digest field to
+/// announce_digest(carried).
+std::map<ProcessId, Value> run_fan_out(int n, int k, bool retarget_digest,
+                                       Value carried) {
+  const int t_c = Topology::committee_fault_tolerance(k);
+  const auto keys = shared_key_registry(k, k - t_c, 1);
+  sim::SimConfig sim_cfg;
+  sim_cfg.n = n;
+  sim_cfg.t = (n - 1) / 3;
+  sim::Simulator simulator(sim_cfg);
+  std::map<ProcessId, Value> decided;
+  for (ProcessId p = 0; p < k; ++p) {
+    crypto::Signature sig = keys->signer_for(p).sign(announce_digest(4));
+    if (retarget_digest) sig.digest = announce_digest(carried);
+    simulator.add_process(p,
+                          std::make_unique<FanOutAnnouncer>(k, carried, sig));
+  }
+  for (ProcessId p = k; p < n; ++p) {
+    simulator.add_process(
+        p, std::make_unique<CommitteeHost>(
+               k, t_c, core::CertMode::kPerVote, keys,
+               CommitteeHost::StackFactory{},
+               [&decided](sim::Context& ctx, Value v) {
+                 decided[ctx.id()] = v;
+               }));
+  }
+  simulator.run();
+  return decided;
+}
+
+TEST(CommitteeAnnounce, ListenersWithoutAFactoryDecideFromASharedAnnounce) {
+  const std::map<ProcessId, Value> decided = run_fan_out(20, 4, false, 4);
+  ASSERT_EQ(decided.size(), 16u);
+  for (const auto& [pid, v] : decided) EXPECT_EQ(v, 4) << pid;
+}
+
+TEST(CommitteeAnnounce, SharedForgedAnnounceIsRejectedByEveryListener) {
+  // The signature covers value 4 but the one shared object carries 5: the
+  // first listener derives announce_digest(5), and so does every later one.
+  EXPECT_TRUE(run_fan_out(20, 4, false, 5).empty());
+  // Re-targeting the signature's digest field at 5 matches the derived
+  // digest but fails verification at every listener.
+  EXPECT_TRUE(run_fan_out(20, 4, true, 5).empty());
+}
+
+TEST(CommitteeAnnounce, MemberWithoutAFactoryThrowsLogicError) {
+  const auto keys = shared_key_registry(4, 3, 1);
+  sim::Simulator simulator(sim::SimConfig{});
+  for (ProcessId p = 0; p < 4; ++p) {
+    simulator.add_process(
+        p, std::make_unique<CommitteeHost>(
+               4, 1, core::CertMode::kPerVote, keys,
+               CommitteeHost::StackFactory{},
+               [](sim::Context&, Value) {}));
+  }
+  EXPECT_THROW(simulator.run(), std::logic_error);
 }
 
 // ----------------------------------------------- committee matrix identity

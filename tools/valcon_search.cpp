@@ -26,7 +26,9 @@
 // cell (the format tests/corpus/ commits and test_corpus_replay replays).
 //
 // Exit codes: 0 = clean search (no violations), 1 = violations found,
-// 2 = usage / bad axis value.
+// 2 = usage / bad axis value, 3 = every evaluated candidate errored (the
+// space holds no runnable cell, e.g. a committee larger than every size),
+// so nothing was searched.
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -234,5 +236,11 @@ int main(int argc, char** argv) {
                 << cx.candidate.key() << "\n";
     }
   }
-  return report.counterexamples.empty() ? 0 : 1;
+  if (!report.counterexamples.empty()) return 1;
+  if (report.evaluated > 0 && report.errors == report.evaluated) {
+    std::cerr << "error: all " << report.evaluated
+              << " evaluated candidates errored; nothing was searched\n";
+    return 3;
+  }
+  return 0;
 }
