@@ -8,9 +8,11 @@
 // GST. This is the executable content of "no non-trivial validity property
 // is solvable with n <= 3t".
 #include <cstdio>
+#include <optional>
 
+#include "valcon/core/lambda.hpp"
+#include "valcon/harness/strategy.hpp"
 #include "valcon/harness/table.hpp"
-#include "valcon/lb/partition.hpp"
 
 using namespace valcon;
 
@@ -19,16 +21,24 @@ int main() {
               "n = 3t frontier ====\n\n");
   harness::Table table({"n", "t", "side-A decision", "side-C decision",
                         "agreement violated", "paper predicts"});
+  const core::StrongValidity validity;
   for (const int t : {1, 2, 3}) {
     for (const int n : {3 * t, 3 * t + 1}) {
-      const auto outcome = lb::run_partition_experiment(n, t, /*seed=*/1);
+      const auto cfg = harness::partition_scenario(n, t, /*seed=*/1);
+      const auto result = harness::run_universal(
+          cfg, core::make_lambda(validity, n, t));
+      // The last decision on each side: A = [0, n-2t), C = [n-t, n).
+      std::optional<Value> side_a;
+      std::optional<Value> side_c;
+      for (const auto& [pid, v] : result.decisions) {
+        (pid < n - 2 * t ? side_a : side_c) = v;
+      }
       const auto fmt_value = [](const std::optional<Value>& v) {
         return v.has_value() ? std::to_string(*v) : std::string("-");
       };
       table.add_row({std::to_string(n), std::to_string(t),
-                     fmt_value(outcome.side_a_value),
-                     fmt_value(outcome.side_c_value),
-                     outcome.agreement_violated ? "YES" : "no",
+                     fmt_value(side_a), fmt_value(side_c),
+                     result.agreement() ? "no" : "YES",
                      n == 3 * t ? "violation" : "safe"});
     }
   }

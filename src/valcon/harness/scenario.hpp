@@ -72,6 +72,10 @@ enum class VcKind {
 ///                            Only bites under cert_mode=aggregate — in
 ///                            per-vote mode no QCs flow and the stack is
 ///                            simply correct
+///   "ebase"                — Theorem 4's E_base group B (every process
+///                            with this strategy): a correct stack that
+///                            ignores its first |B| deliveries and never
+///                            sends to a member of B
 ///
 /// Unused parameters are ignored by a strategy; custom strategies may reuse
 /// any of them.

@@ -424,7 +424,7 @@ SearchReport run_search(const SearchOptions& options) {
   // The archive of the best clean candidates seen so far, the breeding
   // stock for the next generation. Scoring, ordering and mutation all run
   // on this thread, so the whole loop is independent of the job count
-  // (SweepRunner::run returns input-ordered outcomes).
+  // (the sweep pool returns input-ordered outcomes).
   std::vector<std::pair<double, Candidate>> archive;
   std::vector<std::pair<Candidate, Verdict>> violations;
   std::set<std::string> seen;

@@ -238,6 +238,22 @@ class ColludeWithholdStrategy final : public Strategy {
   }
 };
 
+/// "ebase" — Theorem 4's E_base group B, every process carrying this
+/// strategy: a correct stack that ignores its first |B| deliveries and never
+/// sends to a member of B, itself included (see ebase_scenario).
+class EbaseStrategy final : public Strategy {
+ public:
+  std::unique_ptr<sim::Process> build(const StrategyEnv& env) const override {
+    std::vector<ProcessId> group;
+    for (const auto& [pid, fault] : env.cfg.faults) {
+      if (fault.strategy == "ebase") group.push_back(pid);
+    }
+    const int ignore = static_cast<int>(group.size());
+    return std::make_unique<sim::MessageDropShim>(
+        env.recorded_stack(env.own_proposal()), ignore, std::move(group));
+  }
+};
+
 /// Shim for "forge-qc": a full correct inner stack, plus a forgery reflex —
 /// every genuine QuorumCertificatePayload it observes inbound (unwrapped
 /// through the MuxMsg nesting chain, then re-wrapped in the same chain so
@@ -343,9 +359,48 @@ StrategyRegistry& StrategyRegistry::global() {
     r->add<ColludeEquivocateStrategy>("collude-equivocate");
     r->add<ColludeWithholdStrategy>("collude-withhold");
     r->add<ForgeQcStrategy>("forge-qc");
+    r->add<EbaseStrategy>("ebase");
     return r;
   }();
   return *registry;
+}
+
+ScenarioConfig ebase_scenario(int n, int t, VcKind vc, std::uint64_t seed) {
+  ScenarioConfig cfg;
+  cfg.n = n;
+  cfg.t = t;
+  cfg.vc = vc;
+  cfg.seed = seed;  // GST stays 0: every correct message counts
+  cfg.proposals.assign(static_cast<std::size_t>(n), 7);
+  for (ProcessId p = n - (t + 1) / 2; p < n; ++p) {
+    cfg.faults[p].strategy = "ebase";
+  }
+  return cfg;
+}
+
+ScenarioConfig partition_scenario(int n, int t, std::uint64_t seed) {
+  // A throw, not an assert: an NDEBUG build would otherwise run a geometry
+  // the proof says nothing about and report it as a result.
+  if (t < 1 || (n != 3 * t && n != 3 * t + 1)) {
+    throw std::invalid_argument(
+        "partition_scenario requires n == 3t or n == 3t+1 with t >= 1, got "
+        "n=" + std::to_string(n) + " t=" + std::to_string(t));
+  }
+  ScenarioConfig cfg;
+  cfg.n = n;
+  cfg.t = t;
+  cfg.seed = seed;
+  // Both sides must independently run many views (the C side only decides
+  // in C-led views), so the partition gets plenty of pre-GST time.
+  cfg.gst = 2e6;
+  cfg.horizon = cfg.gst + 200.0;
+  for (ProcessId p = 0; p < n; ++p) {
+    cfg.proposals.push_back(p < n - t ? 0 : 1);
+    if (p >= n - 2 * t && p < n - t) {
+      cfg.faults[p] = Fault::collude_equivocate(1, /*release=*/1e6);
+    }
+  }
+  return cfg;
 }
 
 }  // namespace valcon::harness

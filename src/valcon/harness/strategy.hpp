@@ -123,9 +123,9 @@ class Strategy {
 };
 
 /// The adversary-strategy registry (harness/registry.hpp). The global()
-/// instance starts with the built-in strategies ("silent", "crash",
-/// "equivocate", "delay", "mutate", "equivocate-scheduled", "adaptive",
-/// "collude-equivocate", "collude-withhold", "forge-qc") registered.
+/// instance starts with the built-ins ("silent", "crash", "equivocate",
+/// "delay", "mutate", "equivocate-scheduled", "adaptive", "collude-equivocate",
+/// "collude-withhold", "forge-qc", "ebase") registered.
 class StrategyRegistry : public NamedRegistry<Strategy> {
  public:
   StrategyRegistry()  // empty registry (for tests)
@@ -134,5 +134,31 @@ class StrategyRegistry : public NamedRegistry<Strategy> {
   /// The process-wide registry, with the built-ins pre-registered.
   [[nodiscard]] static StrategyRegistry& global();
 };
+
+/// Theorem 4's E_base execution of the extended Dolev-Reischuk bound: GST
+/// 0, every process proposes 7, and the group B = the last ceil(t/2) ids
+/// runs "ebase". Any algorithm with a non-trivial validity property must
+/// make the correct processes send more than ceil(t/2)^2 messages here
+/// (RunResult::message_complexity); otherwise Lemma 5's pigeonhole yields
+/// a member of B that decides without hearing anyone, and Lemma 7's merge
+/// breaks Agreement.
+[[nodiscard]] ScenarioConfig ebase_scenario(int n, int t, VcKind vc,
+                                            std::uint64_t seed);
+
+/// Theorem 1 / Lemma 2's partition over the authenticated stack. Groups:
+/// A = [0, n-2t) proposes 0, B = [n-2t, n-t) runs "collude-equivocate"
+/// (face 0 proposes 0 to A, face 1 proposes 1 to C), C = [n-t, n) proposes
+/// 1. A <-> C traffic is held until 1e6, well before GST = 2e6.
+///
+///   n = 3t   : A∪B and C∪B each muster n-t participants and decide 0 and
+///              1 — Agreement breaks between correct processes, the
+///              contradiction of Lemma 2's merged execution.
+///   n = 3t+1 : the C side is one process short of a quorum; it stalls
+///              until GST and then adopts A's decision — no violation,
+///              the paper's n > 3t solvability frontier.
+///
+/// Throws std::invalid_argument unless t >= 1 and n is 3t or 3t+1.
+[[nodiscard]] ScenarioConfig partition_scenario(int n, int t,
+                                                std::uint64_t seed);
 
 }  // namespace valcon::harness

@@ -373,55 +373,26 @@ SweepOutcome run_point(const SweepPoint& point) {
   return outcome;
 }
 
-SweepRunner::SweepRunner(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {}
+namespace {
 
-std::vector<SweepOutcome> SweepRunner::run(
-    const std::vector<SweepPoint>& points) const {
-  std::vector<SweepOutcome> outcomes(points.size());
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&points, &outcomes, &next] {
-    for (std::size_t i = next.fetch_add(1); i < points.size();
-         i = next.fetch_add(1)) {
-      outcomes[i] = run_point(points[i]);
-    }
-  };
-  if (jobs_ == 1 || points.size() <= 1) {
-    worker();
-    return outcomes;
-  }
-  std::vector<std::thread> pool;
-  const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs_), points.size());
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (std::thread& thread : pool) thread.join();
-  return outcomes;
-}
-
-void SweepRunner::run_range(
-    const ScenarioMatrix& matrix, std::size_t begin, std::size_t end,
-    const std::function<void(SweepOutcome&&)>& on_outcome) const {
-  if (begin > end || end > matrix.size()) {
-    throw std::invalid_argument(
-        "run_range [" + std::to_string(begin) + ", " + std::to_string(end) +
-        ") is not a slice of the " + std::to_string(matrix.size()) +
-        "-cell matrix");
-  }
-  if (begin == end) return;
+/// The sweep's one worker pool: run_point(point_of(i)) for i in [begin, end)
+/// on up to `jobs` threads, emitted in ascending index order. Workers claim
+/// indices from an atomic cursor and park outcomes in `pending` until the
+/// emit cursor reaches them; a worker more than `window` cells ahead blocks,
+/// which bounds memory to O(jobs) however uneven the cells are. The worker
+/// holding the emit-cursor index never blocks, so the frontier advances.
+template <typename PointOf>
+void run_ordered(int jobs, std::size_t begin, std::size_t end,
+                 const PointOf& point_of,
+                 const std::function<void(SweepOutcome&&)>& on_outcome) {
   const std::size_t count = end - begin;
-  if (jobs_ == 1 || count == 1) {
+  if (jobs == 1 || count <= 1) {
     for (std::size_t i = begin; i < end; ++i) {
-      on_outcome(run_point(matrix.point_at(i)));
+      on_outcome(run_point(point_of(i)));
     }
     return;
   }
 
-  // Workers claim indices from an atomic cursor and park finished outcomes
-  // in `pending` until the emit cursor reaches them; a worker more than
-  // `window` cells ahead of the emit cursor blocks, which is what bounds
-  // memory to O(jobs) however uneven the per-cell runtimes are. The worker
-  // holding the emit-cursor index never blocks (its index always satisfies
-  // the window predicate), so the emit frontier always advances.
   std::mutex mu;
   std::condition_variable cv;
   std::map<std::size_t, SweepOutcome> pending;
@@ -429,7 +400,7 @@ void SweepRunner::run_range(
   std::atomic<std::size_t> next_claim{begin};
   std::exception_ptr failure;
   bool aborted = false;
-  const std::size_t window = 16u * static_cast<std::size_t>(jobs_);
+  const std::size_t window = 16u * static_cast<std::size_t>(jobs);
 
   const auto worker = [&] {
     for (;;) {
@@ -437,11 +408,11 @@ void SweepRunner::run_range(
       if (i >= end) return;
       SweepOutcome outcome;
       try {
-        // point_at can throw (a custom pattern violating the domain
+        // point_of can throw (a custom pattern violating the domain
         // contract, say); an exception escaping a pool thread would
         // std::terminate the process, so it is captured and rethrown on
         // the caller's thread — the same loud failure jobs=1 produces.
-        outcome = run_point(matrix.point_at(i));
+        outcome = run_point(point_of(i));
       } catch (...) {
         const std::lock_guard<std::mutex> lock(mu);
         if (!failure) failure = std::current_exception();
@@ -470,11 +441,40 @@ void SweepRunner::run_range(
 
   std::vector<std::thread> pool;
   const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs_), count);
+      std::min<std::size_t>(static_cast<std::size_t>(jobs), count);
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (std::thread& thread : pool) thread.join();
   if (failure) std::rethrow_exception(failure);
+}
+
+}  // namespace
+
+SweepRunner::SweepRunner(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {}
+
+std::vector<SweepOutcome> SweepRunner::run(
+    const std::vector<SweepPoint>& points) const {
+  std::vector<SweepOutcome> outcomes;
+  outcomes.reserve(points.size());
+  run_ordered(
+      jobs_, 0, points.size(),
+      [&points](std::size_t i) -> const SweepPoint& { return points[i]; },
+      [&outcomes](SweepOutcome&& o) { outcomes.push_back(std::move(o)); });
+  return outcomes;
+}
+
+void SweepRunner::run_range(
+    const ScenarioMatrix& matrix, std::size_t begin, std::size_t end,
+    const std::function<void(SweepOutcome&&)>& on_outcome) const {
+  if (begin > end || end > matrix.size()) {
+    throw std::invalid_argument(
+        "run_range [" + std::to_string(begin) + ", " + std::to_string(end) +
+        ") is not a slice of the " + std::to_string(matrix.size()) +
+        "-cell matrix");
+  }
+  run_ordered(
+      jobs_, begin, end,
+      [&matrix](std::size_t i) { return matrix.point_at(i); }, on_outcome);
 }
 
 SweepSummary SweepRunner::summarize(const std::vector<SweepOutcome>& outcomes,

@@ -216,7 +216,8 @@ struct SweepSummary {
 /// Runs a single cell (what the pool workers execute).
 [[nodiscard]] SweepOutcome run_point(const SweepPoint& point);
 
-/// Fans cells out over `jobs` worker threads. Outcome order always matches
+/// Fans cells out over `jobs` worker threads — one pool with a bounded
+/// reorder window serves both entry points. Outcome order always matches
 /// the input order, and each outcome is independent of the job count.
 class SweepRunner {
  public:
@@ -233,7 +234,7 @@ class SweepRunner {
   /// buffered only inside a bounded reorder window (workers that run ahead
   /// of the emit cursor block), so memory is O(jobs), not O(end - begin).
   /// Concatenating run_range() over any partition of [0, size()) yields
-  /// exactly the outcomes of run(build()) — this is the contract the
+  /// exactly the outcomes of the whole matrix — this is the contract the
   /// sharded sweep is built on. The sink is called from worker threads but
   /// never concurrently; an exception it throws — or one thrown while
   /// decoding a cell (e.g. a custom pattern violating the domain

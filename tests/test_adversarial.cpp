@@ -11,8 +11,7 @@
 #include <vector>
 
 #include "valcon/core/execution_checker.hpp"
-#include "valcon/harness/scenario.hpp"
-#include "valcon/lb/partition.hpp"
+#include "valcon/harness/strategy.hpp"
 
 using namespace valcon;
 using namespace valcon::core;
@@ -318,10 +317,12 @@ TEST(ExecutionChecker, MixedDecisionsMatchAPerProcessCheck) {
 // --------------------------------------- the paper's own attack, re-used
 
 TEST(PartitionCheckerIntegration, ViolationIsDetectedByChecker) {
-  const auto outcome = lb::run_partition_experiment(3, 1, 2);
-  ASSERT_TRUE(outcome.agreement_violated);
+  const auto cfg = harness::partition_scenario(3, 1, 2);
   const StrongValidity validity;
+  const auto result =
+      harness::run_universal(cfg, make_lambda(validity, cfg.n, cfg.t));
+  ASSERT_FALSE(result.agreement());
   const auto report = check_execution(validity, 3, 1, {0, 0, 1}, {1},
-                                      outcome.decisions);
+                                      result.decisions);
   EXPECT_FALSE(report.agreement);
 }

@@ -11,7 +11,7 @@
 
 #include "valcon/consensus/reed_solomon.hpp"
 #include "valcon/core/input_config.hpp"
-#include "valcon/lb/partition.hpp"
+#include "valcon/harness/strategy.hpp"
 #include "valcon/sim/metrics.hpp"
 #include "valcon/sim/payload.hpp"
 
@@ -99,9 +99,9 @@ TEST(DeterminismAudit, ReedSolomonRejectsBadParameters) {
 TEST(DeterminismAudit, PartitionExperimentRejectsBadGeometry) {
   // n must be 3t or 3t+1 with t >= 1: outside that, the Lemma 2
   // construction is meaningless and the call must refuse, not assert.
-  EXPECT_THROW(valcon::lb::run_partition_experiment(8, 2, 1),
+  EXPECT_THROW(static_cast<void>(valcon::harness::partition_scenario(8, 2, 1)),
                std::invalid_argument);
-  EXPECT_THROW(valcon::lb::run_partition_experiment(3, 0, 1),
+  EXPECT_THROW(static_cast<void>(valcon::harness::partition_scenario(3, 0, 1)),
                std::invalid_argument);
 }
 

@@ -1,4 +1,5 @@
-// The paper's adversarial constructions, executed as tests:
+// The paper's adversarial constructions, executed as tests through
+// harness::run_universal (harness/strategy.hpp builds both scenarios):
 //
 //  * Theorem 1 / Lemma 2 — the partition attack violates Agreement at
 //    n = 3t (quorum-based consensus is doomed there) and fails to at
@@ -8,61 +9,90 @@
 //    under the ignore-first-⌈t/2⌉-messages adversary.
 #include <gtest/gtest.h>
 
-#include "valcon/lb/dolev_reischuk.hpp"
-#include "valcon/lb/partition.hpp"
+#include <optional>
+
+#include "valcon/core/lambda.hpp"
+#include "valcon/harness/strategy.hpp"
 
 using namespace valcon;
+using harness::RunResult;
+using harness::ScenarioConfig;
+
+namespace {
+
+RunResult run(const ScenarioConfig& cfg) {
+  const core::StrongValidity validity;
+  return harness::run_universal(cfg, core::make_lambda(validity, cfg.n, cfg.t));
+}
+
+/// The decisions of one side of the partition: A = [0, n-2t) or
+/// C = [n-t, n) (B is faulty and pruned from the decisions).
+std::optional<Value> side_value(const RunResult& result, int n, int t,
+                                bool side_a) {
+  std::optional<Value> seen;
+  for (const auto& [pid, v] : result.decisions) {
+    if ((pid < n - 2 * t) == side_a) seen = v;
+  }
+  return seen;
+}
+
+/// Runs E_base and checks that correct processes sent more than
+/// ceil(t/2)^2 messages, all decided and agreed; returns the count.
+std::uint64_t ebase_messages(int n, int t, harness::VcKind vc) {
+  const auto cfg = harness::ebase_scenario(n, t, vc, 1);
+  const auto result = run(cfg);
+  const std::uint64_t half = (t + 1) / 2;
+  EXPECT_GT(result.message_complexity, half * half) << "n=" << n << " t=" << t;
+  EXPECT_TRUE(result.all_correct_decided(cfg)) << "n=" << n;
+  EXPECT_TRUE(result.agreement()) << "n=" << n;
+  EXPECT_TRUE(result.queue_drained) << "n=" << n;
+  return result.message_complexity;
+}
+
+}  // namespace
 
 TEST(PartitionAttack, ViolatesAgreementAtN3T) {
   for (const int t : {1, 2}) {
-    const auto outcome = lb::run_partition_experiment(3 * t, t, 1);
-    EXPECT_TRUE(outcome.agreement_violated) << "t=" << t;
-    ASSERT_TRUE(outcome.side_a_value.has_value());
-    ASSERT_TRUE(outcome.side_c_value.has_value());
-    EXPECT_EQ(*outcome.side_a_value, 0);
-    EXPECT_EQ(*outcome.side_c_value, 1);
+    const int n = 3 * t;
+    const auto result = run(harness::partition_scenario(n, t, 1));
+    EXPECT_FALSE(result.agreement()) << "t=" << t;
+    EXPECT_EQ(side_value(result, n, t, /*side_a=*/true), 0);
+    EXPECT_EQ(side_value(result, n, t, /*side_a=*/false), 1);
     // Every correct process decided (both sides mustered quorums).
-    EXPECT_EQ(outcome.decisions.size(), static_cast<std::size_t>(2 * t));
+    EXPECT_EQ(result.decisions.size(), static_cast<std::size_t>(2 * t));
   }
 }
 
 TEST(PartitionAttack, NoViolationAtN3TPlus1) {
   for (const int t : {1, 2}) {
-    const auto outcome = lb::run_partition_experiment(3 * t + 1, t, 1);
-    EXPECT_FALSE(outcome.agreement_violated) << "t=" << t;
+    const int n = 3 * t + 1;
+    const auto result = run(harness::partition_scenario(n, t, 1));
+    EXPECT_TRUE(result.agreement()) << "t=" << t;
     // After GST the C side adopts the A side's decision.
-    ASSERT_TRUE(outcome.side_a_value.has_value());
-    if (outcome.side_c_value.has_value()) {
-      EXPECT_EQ(*outcome.side_c_value, *outcome.side_a_value);
+    const auto side_a = side_value(result, n, t, /*side_a=*/true);
+    ASSERT_TRUE(side_a.has_value());
+    const auto side_c = side_value(result, n, t, /*side_a=*/false);
+    if (side_c.has_value()) {
+      EXPECT_EQ(*side_c, *side_a);
     }
   }
 }
 
 TEST(PartitionAttack, SeedIndependence) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    EXPECT_TRUE(lb::run_partition_experiment(3, 1, seed).agreement_violated);
-    EXPECT_FALSE(
-        lb::run_partition_experiment(4, 1, seed).agreement_violated);
+    EXPECT_FALSE(run(harness::partition_scenario(3, 1, seed)).agreement());
+    EXPECT_TRUE(run(harness::partition_scenario(4, 1, seed)).agreement());
   }
 }
 
 TEST(DolevReischuk, EbaseRespectsQuadraticBound) {
-  for (const auto& [n, t] :
-       std::vector<std::pair<int, int>>{{4, 1}, {7, 2}, {10, 3}, {13, 4}}) {
-    const auto outcome =
-        lb::run_ebase_experiment(n, t, harness::VcKind::kAuthenticated, 1);
-    EXPECT_TRUE(outcome.bound_respected)
-        << "n=" << n << " t=" << t << ": " << outcome.correct_messages
-        << " <= " << outcome.bound;
-    EXPECT_TRUE(outcome.all_correct_decided) << "n=" << n;
-    EXPECT_TRUE(outcome.agreement) << "n=" << n;
-  }
+  // Exact counts, pinned: the E_base tables must not drift.
+  EXPECT_EQ(ebase_messages(4, 1, harness::VcKind::kAuthenticated), 45u);
+  EXPECT_EQ(ebase_messages(7, 2, harness::VcKind::kAuthenticated), 123u);
+  EXPECT_EQ(ebase_messages(10, 3, harness::VcKind::kAuthenticated), 214u);
+  EXPECT_EQ(ebase_messages(13, 4, harness::VcKind::kAuthenticated), 358u);
 }
 
 TEST(DolevReischuk, EbaseNonAuthenticatedAlsoRespectsBound) {
-  const auto outcome =
-      lb::run_ebase_experiment(4, 1, harness::VcKind::kNonAuthenticated, 1);
-  EXPECT_TRUE(outcome.bound_respected);
-  EXPECT_TRUE(outcome.all_correct_decided);
-  EXPECT_TRUE(outcome.agreement);
+  EXPECT_EQ(ebase_messages(4, 1, harness::VcKind::kNonAuthenticated), 316u);
 }

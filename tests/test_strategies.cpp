@@ -63,13 +63,15 @@ void expect_equal_results(const std::vector<SweepOutcome>& a,
 
 TEST(StrategyRegistry, BuiltinsAreRegistered) {
   auto& registry = StrategyRegistry::global();
-  for (const char* name : {"silent", "crash", "equivocate", "delay", "mutate",
-                           "equivocate-scheduled", "adaptive"}) {
+  for (const char* name :
+       {"silent", "crash", "equivocate", "delay", "mutate",
+        "equivocate-scheduled", "adaptive", "collude-equivocate",
+        "collude-withhold", "forge-qc", "ebase"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     EXPECT_NE(registry.make(name), nullptr) << name;
   }
   const auto names = registry.names();
-  EXPECT_GE(names.size(), 7u);
+  EXPECT_GE(names.size(), 11u);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
