@@ -15,9 +15,9 @@ bool VectorQuadProposal::verify(const crypto::KeyRegistry& keys, int n,
   if (vector_.n() != n || vector_.count() != core::quorum_n_minus_t(n, t)) {
     return false;
   }
-  for (const ProcessId p : vector_.processes()) {
-    const Value v = *vector_.at(p);
-    const crypto::Hash expected = proposal_digest(p, v);
+  for (ProcessId p = 0; p < n; ++p) {
+    if (!vector_.participates(p)) continue;
+    const crypto::Hash expected = proposal_digest(p, *vector_.at(p));
     bool found = false;
     for (const crypto::Signature& sig : proofs_) {
       if (sig.signer == p && sig.digest == expected && keys.verify(sig)) {

@@ -14,6 +14,7 @@ struct FastVectorConsensus::MProposal final : sim::Payload {
 };
 
 FastVectorConsensus::FastVectorConsensus(Quad::Options quad_options) {
+  reserve_children(3);
   disseminator_ = &make_child<VectorDissemination>(
       [this](sim::Context& cctx, const crypto::Hash& h,
              const crypto::ThresholdSignature& tsig) {

@@ -30,6 +30,7 @@ NonAuthVectorConsensus::NonAuthVectorConsensus(int n, core::CertMode cert_mode)
       proposals_(static_cast<std::size_t>(n)),
       decisions_(static_cast<std::size_t>(n)),
       proposed_(static_cast<std::size_t>(n), false) {
+  reserve_children(2 * static_cast<std::size_t>(n));
   brb_.reserve(static_cast<std::size_t>(n));
   binary_.reserve(static_cast<std::size_t>(n));
   for (ProcessId j = 0; j < n; ++j) {

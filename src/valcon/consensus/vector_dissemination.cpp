@@ -115,7 +115,8 @@ void VectorDissemination::on_slow_deliver(
       vec.count() != core::quorum_n_minus_t(slow_ctx.n(), slow_ctx.t())) {
     return;
   }
-  for (const ProcessId p : vec.processes()) {
+  for (ProcessId p = 0; p < vec.n(); ++p) {
+    if (!vec.participates(p)) continue;
     const crypto::Hash expected = proposal_digest(p, *vec.at(p));
     bool ok = false;
     for (const crypto::Signature& sig : sigs) {

@@ -27,6 +27,7 @@ int InputConfig::count() const {
 
 std::vector<ProcessId> InputConfig::processes() const {
   std::vector<ProcessId> out;
+  out.reserve(static_cast<std::size_t>(count()));
   for (int i = 0; i < n(); ++i) {
     if (participates(i)) out.push_back(i);
   }
@@ -35,6 +36,7 @@ std::vector<ProcessId> InputConfig::processes() const {
 
 std::vector<Value> InputConfig::proposals() const {
   std::vector<Value> out;
+  out.reserve(static_cast<std::size_t>(count()));
   for (const auto& slot : slots_) {
     if (slot.has_value()) out.push_back(*slot);
   }

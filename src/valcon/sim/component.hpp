@@ -125,6 +125,13 @@ class Mux : public Component {
     return *children_.back();
   }
 
+  /// Sizes the child tables once for a layer that knows how many children
+  /// it will register, instead of regrowing them child by child.
+  void reserve_children(std::size_t count) {
+    children_.reserve(count);
+    child_ctxs_.reserve(count);
+  }
+
   /// Context adapter for child `idx`, for invoking child methods directly
   /// (e.g. a late `propose` request). Only valid while a callback of this
   /// Mux is on the stack.

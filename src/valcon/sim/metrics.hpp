@@ -69,16 +69,7 @@ class Metrics {
   /// absent, exactly as with the old string-keyed map; the sum of the
   /// values equals message_complexity().
   [[nodiscard]] std::map<std::string, std::uint64_t> by_type() const {
-    std::map<std::string, std::uint64_t> out;
-    // One registry snapshot instead of a locked name_of per id (sweeps
-    // materialize this once per cell, from many threads).
-    const std::vector<std::string> names = PayloadTypeRegistry::names();
-    for (PayloadTypeId id = 0; id < by_type_.size(); ++id) {
-      if (by_type_[id] != 0) {
-        out[names[id]] += by_type_[id];
-      }
-    }
-    return out;
+    return PayloadTypeRegistry::count_by_name(by_type_);
   }
 
   /// Records a quorum certificate formed by a correct process: the margin

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,10 +49,12 @@ class PayloadTypeRegistry {
   /// intern() call has returned.
   [[nodiscard]] static std::string name_of(PayloadTypeId id);
 
-  /// Snapshot of every interned name, indexed by id — one lock acquisition
-  /// for consumers (Metrics::by_type) that would otherwise call name_of
-  /// once per id.
-  [[nodiscard]] static std::vector<std::string> names();
+  /// Re-keys per-id counters by name: out[name_of(id)] += counts[id] for
+  /// every nonzero counts[id]. One lock acquisition, and only the names of
+  /// counted ids are copied (Metrics::by_type runs this once per cell on
+  /// every sweep worker).
+  [[nodiscard]] static std::map<std::string, std::uint64_t> count_by_name(
+      const std::vector<std::uint64_t>& counts);
 
   /// Number of interned types so far.
   [[nodiscard]] static std::uint32_t size();

@@ -48,10 +48,15 @@ std::string PayloadTypeRegistry::name_of(PayloadTypeId id) {
   return t.names[id];
 }
 
-std::vector<std::string> PayloadTypeRegistry::names() {
+std::map<std::string, std::uint64_t> PayloadTypeRegistry::count_by_name(
+    const std::vector<std::uint64_t>& counts) {
+  std::map<std::string, std::uint64_t> out;
   InternTable& t = table();
   const std::lock_guard<std::mutex> lock(t.mu);
-  return t.names;
+  for (PayloadTypeId id = 0; id < counts.size(); ++id) {
+    if (counts[id] != 0) out[t.names[id]] += counts[id];
+  }
+  return out;
 }
 
 std::uint32_t PayloadTypeRegistry::size() {

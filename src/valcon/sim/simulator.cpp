@@ -59,6 +59,77 @@ Simulator::~Simulator() = default;
 
 namespace {
 
+/// Vectors above this many bytes of capacity are released when a Storage
+/// block is handed back, not kept: 64 events per bucket, so a thread's
+/// spare block holds at most 131 vectors of 2 KiB each (about 0.26 MiB)
+/// between runs, however large a run it has seen.
+constexpr std::size_t kRetainedBytes = 2048;
+
+/// Empties `v`, keeping its capacity only up to kRetainedBytes.
+template <typename T>
+void clear_retaining(std::vector<T>& v) {
+  if (v.capacity() * sizeof(T) > kRetainedBytes) {
+    std::vector<T>().swap(v);
+  } else {
+    v.clear();
+  }
+}
+
+}  // namespace
+
+/// The calling thread's one spare Storage block, freed at thread exit.
+/// `closed` is set once that has happened, after which returned blocks
+/// are freed instead of kept.
+struct Simulator::StorageLease::Spare {
+  Storage* block = nullptr;
+
+  Spare() = default;
+  Spare(const Spare&) = delete;
+  Spare& operator=(const Spare&) = delete;
+  ~Spare() {
+    closed = true;
+    delete block;
+  }
+
+  static thread_local Spare slot;
+  static thread_local bool closed;
+};
+
+thread_local Simulator::StorageLease::Spare
+    Simulator::StorageLease::Spare::slot;
+thread_local bool Simulator::StorageLease::Spare::closed = false;
+
+Simulator::StorageLease::StorageLease()
+    : block_(!Spare::closed && Spare::slot.block != nullptr
+                 ? std::exchange(Spare::slot.block, nullptr)
+                 : new Storage()) {}
+
+Simulator::StorageLease::~StorageLease() {
+  block_->clear();
+  if (!Spare::closed && Spare::slot.block == nullptr) {
+    Spare::slot.block = block_;
+  } else {
+    delete block_;
+  }
+}
+
+void Simulator::EventQueue::Buffers::clear() {
+  for (Bucket& bucket : ring) {
+    clear_retaining(bucket.events);
+    bucket.consumed = 0;
+    bucket.sorted = false;
+  }
+  clear_retaining(overflow);
+}
+
+void Simulator::Storage::clear() {
+  queue.clear();
+  clear_retaining(payload_slots);  // drops payloads a horizon cut left
+  clear_retaining(free_slots);
+}
+
+namespace {
+
 int resolved_threshold(const SimConfig& config) {
   return config.threshold_k > 0 ? config.threshold_k : config.n - config.t;
 }
@@ -102,8 +173,10 @@ Simulator::Simulator(SimConfig config)
       contexts_(static_cast<std::size_t>(config_.n)),
       faulty_(static_cast<std::size_t>(config_.n), false),
       started_(static_cast<std::size_t>(config_.n), false),
-      queue_(config_.net.delta > 0 ? config_.net.delta / 16.0
-                                   : 1.0 / 16.0) {}
+      queue_(config_.net.delta > 0 ? config_.net.delta / 16.0 : 1.0 / 16.0,
+             storage_->queue),
+      payload_slots_(storage_->payload_slots),
+      free_slots_(storage_->free_slots) {}
 
 std::size_t Simulator::checked_index(ProcessId id) const {
   if (id < 0 || id >= config_.n) {

@@ -15,6 +15,13 @@
 // interned-id Metrics and the flat-array Network this makes the
 // steady-state per-message path (do_send -> arrival_time -> on_send ->
 // queue push/pop) free of heap allocation.
+//
+// The queue's bucket vectors, its overflow heap and the payload-slot
+// tables are one Storage block that a simulator borrows from its thread's
+// spare slot for its lifetime and hands back cleared (see Storage below),
+// so a sweep worker running cell after cell regrows none of them. Vectors
+// that grew past 2 KiB (64 events) are released rather than kept, which
+// bounds what a thread holds on to between runs.
 #pragma once
 
 #include <algorithm>
@@ -133,10 +140,31 @@ class Simulator {
   /// advance jumps straight to the overflow minimum, so sparse schedules
   /// (long timers) cost no empty-bucket scans.
   class EventQueue {
+    static constexpr std::size_t kBuckets = 128;
+
+    struct Bucket {
+      std::vector<Event> events;
+      std::size_t consumed = 0;  // prefix already popped (implies sorted)
+      bool sorted = false;       // cursor has reached this bucket
+    };
+
    public:
-    explicit EventQueue(Time bucket_width)
+    /// The queue's heap-backed state: lives in the simulator's pooled
+    /// Storage block, so its capacity carries over from run to run.
+    struct Buffers {
+      Bucket ring[kBuckets];
+      std::vector<Event> overflow;  // min-heap on (time, seq)
+
+      /// Empties every vector, releasing those above the retention cap,
+      /// and resets the per-bucket cursors.
+      void clear();
+    };
+
+    EventQueue(Time bucket_width, Buffers& buffers)
         : width_(bucket_width > 0 ? bucket_width : 1.0),
-          inv_width_(1.0 / width_) {}
+          inv_width_(1.0 / width_),
+          ring_(buffers.ring),
+          overflow_(buffers.overflow) {}
 
     [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -178,14 +206,6 @@ class Simulator {
     }
 
    private:
-    static constexpr std::size_t kBuckets = 128;
-
-    struct Bucket {
-      std::vector<Event> events;
-      std::size_t consumed = 0;  // prefix already popped (implies sorted)
-      bool sorted = false;       // cursor has reached this bucket
-    };
-
     [[nodiscard]] static bool before(const Event& a, const Event& b) {
       if (a.time != b.time) return a.time < b.time;
       return a.seq_kind < b.seq_kind;
@@ -265,8 +285,40 @@ class Simulator {
     Time window_end_ = width_ * static_cast<Time>(kBuckets);
     std::size_t cursor_ = 0;
     std::size_t size_ = 0;
-    Bucket ring_[kBuckets];
-    std::vector<Event> overflow_;  // min-heap on (time, seq)
+    Bucket* ring_;                  // Buffers::ring
+    std::vector<Event>& overflow_;  // Buffers::overflow
+  };
+
+  /// Everything a run grows on the heap per event: the queue's buffers and
+  /// the in-flight payload slots. One block per simulator: it takes the
+  /// thread's spare block if there is one (a simulator built while
+  /// another is alive on the thread allocates its own), and its destructor
+  /// hands the block back cleared as the spare of whichever thread runs
+  /// it, or frees it if that thread already holds one; the block is plain
+  /// memory by then, so nothing live crosses threads. It is one block
+  /// rather than 128 pooled vectors so that borrowing costs one pointer
+  /// swap however many buckets a run touched.
+  struct Storage {
+    EventQueue::Buffers queue;
+    std::vector<PayloadPtr> payload_slots;   // in-flight delivery payloads
+    std::vector<std::uint64_t> free_slots;   // recycled payload_slots indices
+
+    void clear();
+  };
+
+  /// Owns one borrowed Storage block and leaves it as the current
+  /// thread's spare on destruction.
+  class StorageLease {
+   public:
+    StorageLease();
+    StorageLease(const StorageLease&) = delete;
+    StorageLease& operator=(const StorageLease&) = delete;
+    ~StorageLease();
+    [[nodiscard]] Storage* operator->() const { return block_; }
+
+   private:
+    struct Spare;  // the per-thread spare block (simulator.cpp)
+    Storage* block_;
   };
 
   class ProcessContext;
@@ -295,6 +347,7 @@ class Simulator {
 
   SimConfig config_;
   PayloadSlab::Handle slab_;
+  StorageLease storage_;  // outlives queue_ and the slot references below
   Network network_;
   Metrics metrics_;
   std::shared_ptr<const crypto::KeyRegistry> keys_;
@@ -303,8 +356,8 @@ class Simulator {
   std::vector<std::uint8_t> faulty_;   // byte flags: the hot path reads these
   std::vector<std::uint8_t> started_;
   EventQueue queue_;
-  std::vector<PayloadPtr> payload_slots_;   // in-flight delivery payloads
-  std::vector<std::uint64_t> free_slots_;   // recycled payload_slots_ indices
+  std::vector<PayloadPtr>& payload_slots_;  // Storage::payload_slots
+  std::vector<std::uint64_t>& free_slots_;  // Storage::free_slots
   std::uint64_t next_seq_ = 0;
   Time now_ = 0.0;
 };

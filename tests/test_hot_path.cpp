@@ -1,18 +1,21 @@
 // Unit tests for the zero-allocation hot-path structures: the flat-array
 // Network (checked property-style against a reference implementation with
 // the historical map/set semantics), the interned-id Metrics breakdown, the
-// payload-type registry, the payload slab's lifetime guarantees, and the
-// release-mode validation of Simulator::do_send.
+// payload-type registry, the payload slab's lifetime guarantees, the
+// release-mode validation of Simulator::do_send, and the per-thread spare
+// block the simulator borrows its event-queue storage from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -461,6 +464,144 @@ TEST(EventQueue, FarFutureEventsInterleaveNearOnesInExactTimeOrder) {
                      return delays[a] < delays[b];
                    });
   EXPECT_EQ(fired, expected);
+}
+
+// ------------------------------------------------- pooled storage
+
+/// A gossip run in which every delivery and timer is logged: each process
+/// broadcasts on start, relays its first few messages and arms a chain of
+/// timers, over a pre-GST network whose delays come from the seeded RNG.
+/// When `nest` > 0, process 0's first delivery runs a whole gossip run of
+/// depth `nest` - 1 inside the handler and appends its log to `nested`,
+/// so simulators borrow storage while others hold theirs.
+std::string run_gossip(int nest = 0,
+                       std::vector<std::string>* nested = nullptr);
+
+class Gossip final : public Process {
+ public:
+  Gossip(std::string* log, int nest, std::vector<std::string>* nested)
+      : log_(log), nest_(nest), nested_(nested) {}
+
+  void on_start(Context& ctx) override {
+    for (ProcessId p = 0; p < ctx.n(); ++p) {
+      ctx.send(p, make_payload<SlabPing>());
+    }
+    ctx.set_timer(0.75, 1);
+    ctx.set_timer(30.0, 99);  // past the queue's window: the overflow heap
+  }
+  void on_message(Context& ctx, ProcessId from, const PayloadPtr&) override {
+    record(ctx, 'm', static_cast<std::uint64_t>(from));
+    if (nest_ > 0 && ctx.id() == 0 && relayed_ == 0) {
+      nested_->push_back(run_gossip(nest_ - 1, nested_));
+    }
+    if (++relayed_ <= 6) {
+      ctx.send((ctx.id() + from + 1) % ctx.n(), make_payload<SlabPing>());
+    }
+  }
+  void on_timer(Context& ctx, std::uint64_t tag) override {
+    record(ctx, 't', tag);
+    if (tag < 5) ctx.set_timer(0.5 * static_cast<Time>(tag), tag + 1);
+  }
+
+ private:
+  void record(Context& ctx, char kind, std::uint64_t arg) {
+    char line[64];
+    std::snprintf(line, sizeof line, "%.17g %d %c %llu\n", ctx.now(),
+                  ctx.id(), kind, static_cast<unsigned long long>(arg));
+    *log_ += line;
+  }
+
+  std::string* log_;
+  int nest_;
+  std::vector<std::string>* nested_;
+  int relayed_ = 0;
+};
+
+std::string run_gossip(int nest, std::vector<std::string>* nested) {
+  SimConfig cfg;
+  cfg.n = 5;
+  cfg.t = 1;
+  cfg.seed = 11;
+  cfg.net.gst = 4.0;
+  std::string log;
+  Simulator sim(cfg);
+  for (ProcessId p = 0; p < cfg.n; ++p) {
+    sim.add_process(p, std::make_unique<Gossip>(&log, nest, nested));
+  }
+  sim.run();
+  return log;
+}
+
+/// Counts its live instances, to see which payloads a simulator frees.
+struct TrackedPing final : Payload {
+  TrackedPing() { ++live; }
+  ~TrackedPing() override { --live; }
+  TrackedPing(const TrackedPing&) = delete;
+  TrackedPing& operator=(const TrackedPing&) = delete;
+  VALCON_PAYLOAD_TYPE("test/tracked-ping")
+  static inline int live = 0;
+};
+
+/// A simulator cut by its horizon in the middle of a bucket that holds far
+/// more events than a spare block retains, with an event in the overflow heap
+/// and an undelivered payload still queued. The crowded bucket is the
+/// first one, where every later run puts its start events: 500 timers fire
+/// at 0.01 (the first sends a TrackedPing), one more waits at 0.03 in the
+/// same bucket and one at 9.0 past the window.
+std::unique_ptr<Simulator> cut_crowded_simulator() {
+  class Crowd final : public Process {
+   public:
+    void on_start(Context& ctx) override {
+      for (std::uint64_t tag = 0; tag < 500; ++tag) ctx.set_timer(0.01, tag);
+      ctx.set_timer(0.03, 500);
+      ctx.set_timer(9.0, 501);
+    }
+    void on_timer(Context& ctx, std::uint64_t tag) override {
+      if (tag == 0) ctx.send(1, make_payload<TrackedPing>());
+    }
+  };
+  SimConfig cfg;
+  cfg.n = 2;
+  cfg.t = 0;
+  auto sim = std::make_unique<Simulator>(cfg);
+  sim->add_process(0, std::make_unique<Crowd>());
+  EXPECT_EQ(sim->run(/*horizon=*/0.01), 501u);
+  EXPECT_EQ(TrackedPing::live, 1);
+  return sim;
+}
+
+TEST(SimulatorStorage, NestedSimulatorsReplayTheirStandaloneRun) {
+  const std::string alone = run_gossip();
+  ASSERT_GT(alone.size(), 0u);
+  // Four simulators alive on this thread at once and one spare block, so
+  // both the borrowed block and freshly made ones are used.
+  std::vector<std::string> nested;
+  const std::string outer = run_gossip(/*nest=*/3, &nested);
+  EXPECT_EQ(outer, alone);
+  ASSERT_EQ(nested.size(), 3u);
+  for (const std::string& inner : nested) EXPECT_EQ(inner, alone);
+  EXPECT_EQ(run_gossip(), alone);
+}
+
+TEST(SimulatorStorage, SimulatorDestroyedOnAnotherThreadLeavesRunsIntact) {
+  const std::string reference = run_gossip();
+  // Built and cut on this thread, destroyed on another one with a crowded
+  // bucket, an overflow event and an undelivered payload still queued.
+  std::unique_ptr<Simulator> crowded = cut_crowded_simulator();
+  std::string on_other_thread;
+  std::thread([&crowded, &on_other_thread] {
+    crowded.reset();
+    on_other_thread = run_gossip();
+  }).join();
+  EXPECT_EQ(TrackedPing::live, 0);  // freed with its simulator, not pooled
+  EXPECT_EQ(on_other_thread, reference);
+  // This thread lent its spare block out and got none back.
+  EXPECT_EQ(run_gossip(), reference);
+  // The same, handed back as this thread's spare and borrowed again.
+  crowded = cut_crowded_simulator();
+  crowded.reset();
+  EXPECT_EQ(TrackedPing::live, 0);
+  EXPECT_EQ(run_gossip(), reference);
 }
 
 }  // namespace
